@@ -18,11 +18,10 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import bijections, trunclab
-from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
+from .partitions import divisor_diff, jacobi_cube, m_k, set_a_size
 from .qseries import bilateral_theta, pochhammer, triple_product
 from .report import CSV_COLUMNS, CheckReport
 from .trunclab import TruncParams
@@ -190,6 +189,10 @@ def _worker_count() -> int:
 def _run_points(suite: str, points: list[tuple]) -> list[CheckReport]:
     workers = _worker_count()
     if workers > 1 and len(points) > 1:
+        # imported here: the pool module pulls in multiprocessing, socket,
+        # pickle and subprocess, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
             return list(pool.map(_evaluate_star, [(suite, p) for p in points]))
     return [_evaluate(suite, p) for p in points]
@@ -319,11 +322,7 @@ def _table_rows(spec: SuiteSpec) -> tuple[list[str], list[tuple]]:
         nmax = single("nmax", 30)
         rows = []
         for n in range(1, nmax + 1):
-            partial = sum(
-                (j if j % 2 == 0 else -j) * p_euler(n - gpn(j))
-                for j in range(-k, k)
-            )
-            rows.append((n, partial, divisor_diff(n, 3, 1)))
+            rows.append((n, trunclab.index_weighted_sum(n, k), divisor_diff(n, 3, 1)))
         return ["n", "partial_sum", "divisor_diff"], rows
     if suite == "gz":
         k = single("k", 1)
@@ -334,12 +333,7 @@ def _table_rows(spec: SuiteSpec) -> tuple[list[str], list[tuple]]:
         nmax = single("nmax", 30)
         rows = []
         for n in range(1, nmax + 1):
-            lhs = sum(
-                (j if j % 2 == 0 else -j) * p_euler(n - gpn(j))
-                for j in range(-n - 1, n + 2)
-                if gpn(j) <= n
-            )
-            rows.append((n, lhs, divisor_diff(n, 3, 1)))
+            rows.append((n, trunclab.index_weighted_sum(n), divisor_diff(n, 3, 1)))
         return ["n", "lhs", "divisor_diff"], rows
     raise ValueError(f"table output is not available for suite {suite!r}")
 

@@ -10,6 +10,7 @@ independent side of every cross-check.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -83,29 +84,33 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return [Partition(t) for t in _partition_tuples(n)]
 
 
-# p(n) memo; append-only, so concurrent readers always see a valid prefix.
+# p(n) memo. It is append-only, so a reader of an index already computed
+# needs no lock; growing it is check-then-append, so writers take the lock.
 _pcache = [1]
+_pcache_lock = threading.Lock()
 
 
 def p_euler(n: int) -> int:
     """p(n) via the sparse pentagonal recurrence; 0 for negative n."""
     if n < 0:
         return 0
-    while len(_pcache) <= n:
-        m = len(_pcache)
-        total = 0
-        j = 1
-        while True:
-            g = j * (3 * j - 1) // 2
-            if g > m:
-                break
-            sign = 1 if j % 2 else -1
-            total += sign * _pcache[m - g]
-            g = j * (3 * j + 1) // 2
-            if g <= m:
-                total += sign * _pcache[m - g]
-            j += 1
-        _pcache.append(total)
+    if n >= len(_pcache):
+        with _pcache_lock:
+            while len(_pcache) <= n:
+                m = len(_pcache)
+                total = 0
+                j = 1
+                while True:
+                    g = j * (3 * j - 1) // 2
+                    if g > m:
+                        break
+                    sign = 1 if j % 2 else -1
+                    total += sign * _pcache[m - g]
+                    g = j * (3 * j + 1) // 2
+                    if g <= m:
+                        total += sign * _pcache[m - g]
+                    j += 1
+                _pcache.append(total)
     return _pcache[n]
 
 

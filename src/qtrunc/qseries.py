@@ -10,11 +10,39 @@ package sound.
 
 Coefficients are stored sparsely (theta-type series have O(sqrt N) terms);
 multiplication and inversion run over dense scratch lists internally.
+
+A product has two kernels, chosen by the number t of nonzero terms of the
+sparser operand:
+
+- t <= _SCHOOLBOOK_MAX_TERMS: the schoolbook loop, t * (N + 1) steps over a
+  dense copy of the other operand. Theta numerators, monomials and low
+  q-binomials take this path.
+- otherwise, Kronecker substitution. Each operand is packed into one int,
+  coefficient i in the w-bit slot i; the two ints are multiplied once by
+  CPython; the low N + 1 slots of the product are read back as signed
+  integers, each negative slot borrowing one from the slot above it. The
+  slot width w is a whole number of bytes chosen so that no product
+  coefficient reaches 2^(w-1) in absolute value. The packing goes through
+  int.to_bytes and int.from_bytes with an explicit length and byte order,
+  as Python 3.10 requires.
+
+Both kernels give the same exact coefficients; the tests check each
+against a naive list convolution.
+
+Coefficients must be of type int; bool is rejected too, since a bool
+coefficient is almost always a comparison result that leaked in. The public
+constructors check every key and value. Results computed inside this module
+are built by ``_make``, which checks nothing, so arithmetic pays nothing
+for the check.
 """
 
 from __future__ import annotations
 
 import json
+
+# Largest term count of the sparser operand that still goes to the schoolbook
+# loop; above it, the Kronecker kernel is faster on every shape measured.
+_SCHOOLBOOK_MAX_TERMS = 16
 
 
 class IntSeries:
@@ -31,12 +59,30 @@ class IntSeries:
             raise ValueError(f"order must be nonnegative, got {order}")
         kept = {}
         for d, c in coeffs.items():
+            if type(d) is not int or type(c) is not int:
+                raise ValueError(
+                    f"degrees and coefficients must be int, got {d!r}: {c!r}"
+                )
             if d < 0:
                 raise ValueError(f"negative degree {d} in coefficient map")
             if c and d <= order:
                 kept[d] = c
         self.coeffs = kept
         self.order = order
+
+    @classmethod
+    def _make(cls, coeffs: dict[int, int], order: int) -> IntSeries:
+        """Wrap a coefficient map computed in this module, unchecked: int
+        degrees in 0..order mapped to nonzero int coefficients."""
+        series = object.__new__(cls)
+        series.coeffs = coeffs
+        series.order = order
+        return series
+
+    @classmethod
+    def _from_list(cls, dense: list[int], order: int) -> IntSeries:
+        """Unchecked counterpart of from_dense for computed int lists."""
+        return cls._make({d: c for d, c in enumerate(dense) if c}, order)
 
     @classmethod
     def from_dense(cls, dense: list[int], order: int | None = None) -> IntSeries:
@@ -88,29 +134,40 @@ class IntSeries:
         suffix = " ..." if len(self.coeffs) > 6 else ""
         return f"IntSeries({shown}{suffix}, order={self.order})"
 
+    def _combine(self, other: IntSeries, sign: int) -> IntSeries:
+        n = min(self.order, other.order)
+        if self.order == n:
+            out = dict(self.coeffs)
+        else:
+            out = {d: c for d, c in self.coeffs.items() if d <= n}
+        for d, c in other.coeffs.items():
+            if d <= n:
+                c = out.get(d, 0) + sign * c
+                if c:
+                    out[d] = c
+                else:
+                    del out[d]
+        return IntSeries._make(out, n)
+
     def __add__(self, other: IntSeries) -> IntSeries:
         if not isinstance(other, IntSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, 0) + c
-        return IntSeries(out, n)
+        return self._combine(other, 1)
 
     def __sub__(self, other: IntSeries) -> IntSeries:
         if not isinstance(other, IntSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, 0) - c
-        return IntSeries(out, n)
+        return self._combine(other, -1)
 
     def __neg__(self) -> IntSeries:
         return self.scale(-1)
 
     def scale(self, c: int) -> IntSeries:
-        return IntSeries({d: c * v for d, v in self.coeffs.items()}, self.order)
+        if type(c) is not int:
+            raise ValueError(f"scale factor must be int, got {c!r}")
+        if not c:
+            return IntSeries._make({}, self.order)
+        return IntSeries._make({d: c * v for d, v in self.coeffs.items()}, self.order)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -122,6 +179,8 @@ class IntSeries:
         a, b = self, other
         if len(b.coeffs) < len(a.coeffs):
             a, b = b, a
+        if len(a.coeffs) > _SCHOOLBOOK_MAX_TERMS:
+            return IntSeries._from_list(_kronecker_mul(a.dense(n), b.dense(n), n), n)
         bd = b.dense(n)
         out = [0] * (n + 1)
         for da, ca in a.coeffs.items():
@@ -131,7 +190,7 @@ class IntSeries:
                 cb = bd[db]
                 if cb:
                     out[da + db] += ca * cb
-        return IntSeries.from_dense(out, n)
+        return IntSeries._from_list(out, n)
 
     __rmul__ = __mul__
 
@@ -160,7 +219,7 @@ class IntSeries:
                     break
                 acc += a[i] * b[m - i]
             b[m] = -c0 * acc
-        return IntSeries.from_dense(b)
+        return IntSeries._from_list(b, n)
 
     def shifted(self, e: int) -> IntSeries:
         """Multiply by q^e (e >= 0) or divide by q^|e| (e < 0).
@@ -170,8 +229,8 @@ class IntSeries:
         coefficient below q^|e| to vanish.
         """
         if e >= 0:
-            return IntSeries({d + e: c for d, c in self.coeffs.items()},
-                             self.order + e)
+            return IntSeries._make({d + e: c for d, c in self.coeffs.items()},
+                                   self.order + e)
         drop = -e
         if drop > self.order:
             raise ValueError(f"cannot shift down by {drop}: order is {self.order}")
@@ -180,13 +239,16 @@ class IntSeries:
                 raise ValueError(
                     f"cannot divide by q^{drop}: nonzero coefficient at q^{d}"
                 )
-        return IntSeries({d - drop: c for d, c in self.coeffs.items() if d >= drop},
-                         self.order - drop)
+        return IntSeries._make({d - drop: c for d, c in self.coeffs.items()},
+                               self.order - drop)
 
     def truncate(self, order: int) -> IntSeries:
         if order > self.order:
             raise ValueError(f"cannot extend validity from {self.order} to {order}")
-        return IntSeries(self.coeffs, order)
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
+        return IntSeries._make({d: c for d, c in self.coeffs.items() if d <= order},
+                               order)
 
     def times_one_minus(self, e: int) -> IntSeries:
         """Multiply by (1 - q^e) in O(order) time."""
@@ -195,7 +257,7 @@ class IntSeries:
         out = self.dense()
         for d in range(self.order, e - 1, -1):
             out[d] -= out[d - e]
-        return IntSeries.from_dense(out)
+        return IntSeries._from_list(out, self.order)
 
     def div_one_minus(self, e: int) -> IntSeries:
         """Divide by (1 - q^e), i.e. multiply by the geometric series in q^e."""
@@ -204,11 +266,42 @@ class IntSeries:
         out = self.dense()
         for d in range(e, self.order + 1):
             out[d] += out[d - e]
-        return IntSeries.from_dense(out)
+        return IntSeries._from_list(out, self.order)
 
     def to_json(self) -> str:
         """JSON array of decimal-string coefficients [c0, ..., cN]."""
         return json.dumps([str(c) for c in self.dense()])
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """The sum of coeffs[i] * 2^(8 * width * i), for signed coefficients
+    of absolute value below 2^(8 * width - 1)."""
+    zero = bytes(width)
+    value = int.from_bytes(
+        b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in coeffs]),
+        "little")
+    if min(coeffs) < 0:
+        value -= int.from_bytes(
+            b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs]),
+            "little")
+    return value
+
+
+def _kronecker_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """Coefficients of q^0..q^n of the product of two nonempty coefficient
+    lists, by Kronecker substitution (see the module docstring)."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        return [0] * (n + 1)
+    # |each product coefficient| <= bound < 2^(8 * width - 1)
+    width = bound.bit_length() // 8 + 1
+    size = width * (n + 1)
+    low = (_pack(a, width) * _pack(b, width)) & ((1 << (8 * size)) - 1)
+    raw = low.to_bytes(size, "little")
+    slots = [int.from_bytes(raw[i:i + width], "little", signed=True)
+             for i in range(0, size, width)]
+    # a slot read as negative lent 2^(8 * width) to the slot above it
+    return [s + (below < 0) for s, below in zip(slots, [0] + slots)]
 
 
 def pochhammer(a: int, step: int, order: int) -> IntSeries:
@@ -226,7 +319,7 @@ def pochhammer(a: int, step: int, order: int) -> IntSeries:
     for e in range(a, order + 1, step):
         for d in range(order, e - 1, -1):
             dense[d] -= dense[d - e]
-    return IntSeries.from_dense(dense)
+    return IntSeries._from_list(dense, order)
 
 
 def triple_product(R: int, S: int, order: int) -> IntSeries:
@@ -239,7 +332,7 @@ def triple_product(R: int, S: int, order: int) -> IntSeries:
         for e in range(base, order + 1, R):
             for d in range(order, e - 1, -1):
                 dense[d] -= dense[d - e]
-    return IntSeries.from_dense(dense)
+    return IntSeries._from_list(dense, order)
 
 
 def bilateral_theta(R: int, S: int, order: int) -> IntSeries:
@@ -282,7 +375,7 @@ def lambert_diff(R: int, S: int, order: int) -> IntSeries:
     for d in range(R - S, order + 1, R):
         for mult in range(d, order + 1, d):
             dense[mult] -= 1
-    return IntSeries.from_dense(dense)
+    return IntSeries._from_list(dense, order)
 
 
 def nonneg_from(series: IntSeries, n0: int):

@@ -159,11 +159,16 @@ def am_rhs(k: int, N: int) -> IntSeries:
     fact_level = 0
     n = k
     while base + (k + 1) * n <= N:
+        # only degrees up to N - e survive the shift by e, so both factors
+        # are cut there before multiplying; e grows with n, so the running
+        # 1/(q;q)_n can stay cut
+        e = base + (k + 1) * n
+        inv_fact = inv_fact.truncate(N - e)
         while fact_level < n:
             fact_level += 1
             inv_fact = inv_fact.div_one_minus(fact_level)
-        term = q_binomial(n - 1, k - 1, order=N) * inv_fact
-        acc = acc + term.shifted(base + (k + 1) * n)
+        term = q_binomial(n - 1, k - 1, order=N - e) * inv_fact
+        acc = acc + term.shifted(e)
         n += 1
     return IntSeries.one(N) + acc.scale(_sign(k - 1))
 
@@ -302,6 +307,24 @@ def theorem13_check(P: TruncParams) -> CheckReport:
     return report
 
 
+def index_weighted_sum(n: int, k: int | None = None) -> int:
+    """Sum of (-1)^j j p(n - gpn(j)) over the j with gpn(j) <= n, restricted
+    to -k <= j < k when k is given.
+
+    gpn(j) grows with |j| on each side of 0, so j walks outward from 0 in
+    both directions and stops at the first gpn(j) > n: O(sqrt(n)) terms.
+    """
+    total = 0
+    for j, step in ((0, 1), (-1, -1)):
+        while k is None or -k <= j < k:
+            g = gpn(j)
+            if g > n:
+                break
+            total += _sign(j) * j * p_euler(n - g)
+            j += step
+    return total
+
+
 def corollary14_report(k: int, nmax: int) -> CheckReport:
     """Parity-directed comparison of the truncated index-weighted partition
     sum against the divisor difference d_{1,3}(n) - d_{2,3}(n): >= for odd k,
@@ -311,7 +334,7 @@ def corollary14_report(k: int, nmax: int) -> CheckReport:
     direction = ">=" if k % 2 == 1 else "<="
     report = CheckReport("corollary14", {"k": k, "nmax": nmax, "direction": direction})
     for n in range(1, nmax + 1):
-        lhs = sum(_sign(j) * j * p_euler(n - gpn(j)) for j in range(-k, k))
+        lhs = index_weighted_sum(n, k)
         rhs = divisor_diff(n, 3, 1)
         if (k % 2 == 1 and lhs < rhs) or (k % 2 == 0 and lhs > rhs):
             report.add(n, f"{direction} {rhs}", lhs)
@@ -325,11 +348,7 @@ def recurrence_check(nmax: int) -> CheckReport:
         raise ValueError(f"nmax must be positive, got {nmax}")
     report = CheckReport("recurrence117", {"nmax": nmax})
     for n in range(1, nmax + 1):
-        lhs = sum(
-            _sign(j) * j * p_euler(n - gpn(j))
-            for j in range(-n - 1, n + 2)
-            if gpn(j) <= n
-        )
+        lhs = index_weighted_sum(n)
         rhs = divisor_diff(n, 3, 1)
         if lhs != rhs:
             report.add(n, rhs, lhs)
@@ -517,15 +536,22 @@ def gz_check(k: int, N: int) -> CheckReport:
     return report
 
 
-def wang_yee_check(R: int, S: int, m: int, N: int) -> CheckReport:
-    """m-truncated theta sum over the triple product versus its closed
-    quadruple-sum series form, compared exactly to order N.
+def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
+    """Closed quadruple-sum series form of the m-truncated theta quotient
+    in wang_yee_check, to order N.
 
-    The right side is 1 plus a signed monomial shift of
+    It is 1 plus a signed monomial shift of
     sum_{n >= m} sum_{i+j+h+k=n} q^((mj+hk)R + (h-k)S + nR) /
     ((q^R;q^R)_i (q^R;q^R)_j (q^R;q^R)_h (q^R;q^R)_k) * [n-1, m-1] in q^R,
-    cut once the minimal exponent R m(m-1)/2 + n(R-S) exceeds N. The inner
-    quadruple sum is grouped into two pair convolutions before multiplying.
+    cut once the minimal exponent R m(m-1)/2 + n(R-S) exceeds N.
+
+    The quadruple sum is grouped into two pair sums, pair_g over (i, j) and
+    pair_h over (h, k), whose products are then convolved over n. Every pair
+    term needs pair(lo, hi) = 1/((q^R;q^R)_lo (q^R;q^R)_hi). These are built
+    without multiplying: pair(0, hi) = 1/(q^R;q^R)_hi, and each step along a
+    row is one geometric factor, pair(lo, hi) = pair(lo - 1, hi) / (1 - q^(R lo)).
+    Each product and each shifted term is cut to the order that survives its
+    shift before it is formed, so no coefficient past order N is computed.
     """
     if not (1 <= S and 2 * S <= R):
         raise ValueError(f"need 1 <= S <= R/2, got R={R}, S={S}")
@@ -533,8 +559,58 @@ def wang_yee_check(R: int, S: int, m: int, N: int) -> CheckReport:
         raise ValueError(f"m must be positive, got {m}")
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    report = CheckReport("wang-yee", {"R": R, "S": S, "m": m, "N": N})
+    monomial = R * m * (m - 1) // 2
+    if monomial > N:
+        return IntSeries.one(N)
+    W = N - monomial
+    nmax = W // (R - S)
+    invp = [IntSeries.one(W)]
+    for i in range(1, nmax + 1):
+        invp.append(invp[i - 1].div_one_minus(R * i))
+    # pairs[lo, hi] for lo <= hi and lo + hi <= nmax, one row per hi
+    pairs: dict[tuple[int, int], IntSeries] = {}
+    for hi in range(nmax + 1):
+        p = pairs[0, hi] = invp[hi]
+        for lo in range(1, min(hi, nmax - hi) + 1):
+            p = pairs[lo, hi] = p.div_one_minus(R * lo)
 
+    def pair(a: int, b: int) -> IntSeries:
+        return pairs[a, b] if a <= b else pairs[b, a]
+
+    pair_g = []
+    pair_h = []
+    for s in range(nmax + 1):
+        g = IntSeries.zero(W)
+        h = IntSeries.zero(W)
+        for a in range(s + 1):
+            e = m * a * R
+            if e <= W:
+                g = g + pair(s - a, a).truncate(W - e).shifted(e)
+            e = a * (s - a) * R + 2 * a * S
+            if e <= W:
+                h = h + pair(a, s - a).truncate(W - e).shifted(e)
+        pair_g.append(g)
+        pair_h.append(h)
+    total = IntSeries.zero(W)
+    for n in range(m, nmax + 1):
+        # every shift e below is at least low = n(R - S), so the inner sum
+        # is built divided by q^low and multiplied at order W - low
+        low = n * (R - S)
+        inner = IntSeries.zero(W - low)
+        for t in range(n + 1):
+            e = n * R - t * S
+            if e <= W:
+                inner = inner + (pair_g[n - t].truncate(W - e)
+                                 * pair_h[t].truncate(W - e)).shifted(e - low)
+        total = total + (inner * q_binomial(n - 1, m - 1, R, order=W - low)).shifted(low)
+    return IntSeries.one(N) + total.scale(_sign(m - 1)).shifted(monomial)
+
+
+def wang_yee_check(R: int, S: int, m: int, N: int) -> CheckReport:
+    """m-truncated theta sum over the triple product versus its closed
+    quadruple-sum series form (wang_yee_rhs), compared exactly to order N."""
+    rhs = wang_yee_rhs(R, S, m, N)
+    report = CheckReport("wang-yee", {"R": R, "S": S, "m": m, "N": N})
     coeffs: dict[int, int] = {}
     for n in range(m):
         e = R * n * (n + 1) // 2 - S * n
@@ -542,47 +618,6 @@ def wang_yee_check(R: int, S: int, m: int, N: int) -> CheckReport:
             if exp <= N:
                 coeffs[exp] = coeffs.get(exp, 0) + c
     lhs = IntSeries(coeffs, N) * _inv_triple(R, S, N)
-
-    monomial = R * m * (m - 1) // 2
-    rhs = IntSeries.one(N)
-    if monomial <= N:
-        W = N - monomial
-        nmax = W // (R - S)
-        invp = [IntSeries.one(W)]
-        for i in range(1, nmax + 1):
-            invp.append(invp[i - 1].div_one_minus(R * i))
-        products: dict[tuple[int, int], IntSeries] = {}
-
-        def pair(a: int, b: int) -> IntSeries:
-            key = (a, b) if a <= b else (b, a)
-            if key not in products:
-                products[key] = invp[key[0]] * invp[key[1]]
-            return products[key]
-
-        pair_g = []
-        pair_h = []
-        for s in range(nmax + 1):
-            g = IntSeries.zero(W)
-            h = IntSeries.zero(W)
-            for a in range(s + 1):
-                e = m * a * R
-                if e <= W:
-                    g = g + pair(s - a, a).shifted(e).truncate(W)
-                e = a * (s - a) * R + 2 * a * S
-                if e <= W:
-                    h = h + pair(a, s - a).shifted(e).truncate(W)
-            pair_g.append(g)
-            pair_h.append(h)
-        total = IntSeries.zero(W)
-        for n in range(m, nmax + 1):
-            inner = IntSeries.zero(W)
-            for t in range(n + 1):
-                e = n * R - t * S
-                if e <= W:
-                    inner = inner + (pair_g[n - t] * pair_h[t]).shifted(e).truncate(W)
-            total = total + inner * q_binomial(n - 1, m - 1, R, order=W)
-        rhs = IntSeries.one(N) + total.scale(_sign(m - 1)).shifted(monomial)
-
     for d in _diff_degrees(lhs, rhs):
         report.add(d, rhs.coeff(d), lhs.coeff(d))
     return report

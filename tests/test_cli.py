@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, formats, determinism, worker pool."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +134,16 @@ def test_worker_pool_matches_serial_output(tmp_path, capsys, monkeypatch):
     assert cli.main(argv + ["--out", str(pooled)]) == 0
     capsys.readouterr()
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_import_leaves_process_pool_unloaded():
+    """The pool module is imported only when QTRUNC_WORKERS asks for one."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, qtrunc.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_table_gz_csv_row_count(capsys):

@@ -1,9 +1,13 @@
 """Partition enumeration and statistics against independent counts."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtrunc import partitions
 from qtrunc import (
     Partition,
     divisor_diff,
@@ -69,6 +73,29 @@ def test_p_euler_frozen_values():
     assert p_euler(50) == 204226
     assert p_euler(100) == 190569292
     assert p_euler(-3) == 0
+
+
+def test_p_euler_memo_is_safe_under_concurrent_growth(monkeypatch):
+    """Four threads grow the memo from empty at once, with the interpreter
+    switching threads as often as it can; without the lock, two writers
+    appended the same index and the table came out wrong."""
+    serial = [p_euler(n) for n in range(3001)]
+    monkeypatch.setattr(partitions, "_pcache", [1])
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(p_euler(3000)))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial[3000]] * 4
+    assert partitions._pcache == serial
 
 
 def test_partition_validation():

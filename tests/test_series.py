@@ -9,9 +9,10 @@ must agree with them exactly.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qtrunc import qseries
 from qtrunc import (
     IntSeries,
     bilateral_theta,
@@ -58,6 +59,15 @@ def scan_divisor_diff(n: int, R: int, S: int) -> int:
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=10)
 
+# Signed coefficients up to a few hundred bits, with zeros mixed in, and
+# lengths that put the sparser operand on either side of the schoolbook
+# crossover.
+wide_coeff_lists = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=-(2 ** 400), max_value=2 ** 400)),
+    min_size=1, max_size=3 * qseries._SCHOOLBOOK_MAX_TERMS,
+)
+
 
 def test_from_dense_roundtrip():
     s = IntSeries.from_dense([1, 0, -2, 3])
@@ -77,6 +87,21 @@ def test_constructor_rejects_bad_input():
         IntSeries({0: 1}, -1)
     with pytest.raises(ValueError):
         IntSeries({-2: 1}, 5)
+
+
+def test_constructors_reject_non_int_coefficients():
+    # a float coefficient used to be kept, and squaring gave [1, 0, 1.0, 0, 0.25]
+    with pytest.raises(ValueError):
+        IntSeries({0: 1, 2: 0.5}, 4)
+    with pytest.raises(ValueError):
+        IntSeries.from_dense([1, 0, 2.0])
+    # bool is an int subclass, but a bool coefficient is a leaked comparison
+    with pytest.raises(ValueError):
+        IntSeries({0: True}, 2)
+    with pytest.raises(ValueError):
+        IntSeries({1.0: 1}, 2)
+    with pytest.raises(ValueError):
+        IntSeries.from_dense([1, 2]).scale(0.5)
 
 
 def test_coeff_beyond_order_raises():
@@ -107,6 +132,43 @@ def test_mul_matches_naive_convolution(xs, ys):
     b = IntSeries.from_dense(ys)
     assert (a * b).dense() == naive_mul(xs, ys, order)
     assert (a * b) == (b * a)
+
+
+@given(wide_coeff_lists, wide_coeff_lists)
+@settings(max_examples=300, deadline=None)
+@example([0] * 40, [2 ** 300] * 40)
+@example([0], [0])
+@example([-(2 ** 200) + 1], [2 ** 200 - 1])
+@example([1] * 17, [-1] * 30)
+def test_kronecker_kernel_matches_naive_convolution(xs, ys):
+    order = min(len(xs), len(ys)) - 1
+    expected = naive_mul(xs, ys, order)
+    # the kernel alone, with operands of unequal length
+    assert qseries._kronecker_mul(xs, ys, order) == expected
+    # through __mul__, whichever kernel the crossover picks
+    a = IntSeries.from_dense(xs)
+    b = IntSeries.from_dense(ys)
+    assert (a * b).dense() == expected
+    assert (a * b) == (b * a)
+
+
+def test_mul_switches_kernel_above_crossover(monkeypatch):
+    calls = []
+    kernel = qseries._kronecker_mul
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(qseries, "_kronecker_mul", counting)
+    limit = qseries._SCHOOLBOOK_MAX_TERMS
+    dense = list(range(1, 3 * limit))
+    for terms, used in ((limit, False), (limit + 1, True)):
+        calls.clear()
+        xs = [(-1) ** i * (i + 1) for i in range(terms)] + [0] * (len(dense) - terms)
+        product = IntSeries.from_dense(xs) * IntSeries.from_dense(dense)
+        assert product.dense() == naive_mul(xs, dense, len(dense) - 1)
+        assert bool(calls) is used
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)

@@ -25,6 +25,7 @@ from qtrunc import (
     gz_series,
     i_series,
     i_series_closed,
+    index_weighted_sum,
     jacobi_cube_check,
     m_k,
     mao_check,
@@ -37,7 +38,9 @@ from qtrunc import (
     theorem13_check,
     theorem13_series,
     wang_yee_check,
+    wang_yee_rhs,
 )
+from qtrunc.qseries import IntSeries
 from qtrunc.trunclab import _mao_double_sum, conjecture_regime
 
 
@@ -178,6 +181,30 @@ def test_am_rhs_trivial_when_every_term_overshoots():
     assert am_lhs(6, 10).dense() == [1] + [0] * 10
 
 
+def _am_rhs_full_order(k: int, N: int) -> IntSeries:
+    """am_rhs in its direct form: each term multiplied to order N, then
+    shifted, with the coefficients past N dropped by the sum."""
+    base = k * (k - 1) // 2
+    acc = IntSeries.zero(N)
+    inv_fact = IntSeries.one(N)
+    fact_level = 0
+    n = k
+    while base + (k + 1) * n <= N:
+        while fact_level < n:
+            fact_level += 1
+            inv_fact = inv_fact.div_one_minus(fact_level)
+        term = q_binomial(n - 1, k - 1, order=N) * inv_fact
+        acc = acc + term.shifted(base + (k + 1) * n)
+        n += 1
+    return IntSeries.one(N) + acc.scale(1 if k % 2 == 1 else -1)
+
+
+def test_am_rhs_equals_full_order_form():
+    for k in range(1, 6):
+        for N in (0, 1, 7, 23, 60):
+            assert am_rhs(k, N) == _am_rhs_full_order(k, N), (k, N)
+
+
 def test_am_rejects_bad_depth():
     with pytest.raises(ValueError):
         am_lhs(0, 10)
@@ -278,6 +305,18 @@ def test_recurrence_holds_with_equality():
         recurrence_check(0)
 
 
+def test_index_weighted_sum_matches_full_range_scan():
+    """The outward j-walk against the scan over every j in [-n-1, n+1]."""
+    for n in range(0, 301):
+        full = sum((j if j % 2 == 0 else -j) * p_euler(n - gpn(j))
+                   for j in range(-n - 1, n + 2) if gpn(j) <= n)
+        assert index_weighted_sum(n) == full, n
+        for k in (1, 2, 5):
+            partial = sum((j if j % 2 == 0 else -j) * p_euler(n - gpn(j))
+                          for j in range(-k, k))
+            assert index_weighted_sum(n, k) == partial, (n, k)
+
+
 def test_f_series_frozen_values():
     assert f_series(TruncParams(3, 1, 1, 12)).dense() == \
         [1, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
@@ -370,6 +409,66 @@ def test_wang_yee_check_grid():
                     (4, 1, 2), (5, 2, 2), (6, 3, 2)]:
         report = wang_yee_check(R, S, m, 50)
         assert report.passed, (R, S, m, report.violations[:3])
+
+
+def _wang_yee_rhs_full_order(R: int, S: int, m: int, N: int) -> IntSeries:
+    """wang_yee_rhs in its direct form: every pair series is a product of
+    two 1/(q^R;q^R)_i, and every product is formed to full order W, then
+    shifted and truncated."""
+    monomial = R * m * (m - 1) // 2
+    if monomial > N:
+        return IntSeries.one(N)
+    W = N - monomial
+    nmax = W // (R - S)
+    invp = [IntSeries.one(W)]
+    for i in range(1, nmax + 1):
+        invp.append(invp[i - 1].div_one_minus(R * i))
+    pair_g, pair_h = [], []
+    for s in range(nmax + 1):
+        g = IntSeries.zero(W)
+        h = IntSeries.zero(W)
+        for a in range(s + 1):
+            e = m * a * R
+            if e <= W:
+                g = g + (invp[s - a] * invp[a]).shifted(e).truncate(W)
+            e = a * (s - a) * R + 2 * a * S
+            if e <= W:
+                h = h + (invp[a] * invp[s - a]).shifted(e).truncate(W)
+        pair_g.append(g)
+        pair_h.append(h)
+    total = IntSeries.zero(W)
+    for n in range(m, nmax + 1):
+        inner = IntSeries.zero(W)
+        for t in range(n + 1):
+            e = n * R - t * S
+            if e <= W:
+                inner = inner + (pair_g[n - t] * pair_h[t]).shifted(e).truncate(W)
+        total = total + inner * q_binomial(n - 1, m - 1, R, order=W)
+    sign = 1 if m % 2 == 1 else -1
+    return IntSeries.one(N) + total.scale(sign).shifted(monomial)
+
+
+def test_wang_yee_rhs_equals_full_order_form():
+    for R, S, m in [(3, 1, 1), (3, 1, 2), (4, 2, 1), (5, 2, 3), (6, 3, 2)]:
+        for N in (0, 5, 31, 45):
+            assert wang_yee_rhs(R, S, m, N) == _wang_yee_rhs_full_order(R, S, m, N), \
+                (R, S, m, N)
+
+
+def test_wang_yee_multiply_count_gate(monkeypatch):
+    """Timing-free regression gate: the number of series products that
+    wang-yee makes at a fixed point. Building the pair series by geometric
+    steps took it from 617 to 361; a change that raises it fails here."""
+    calls = []
+    mul = IntSeries.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(IntSeries, "__mul__", counting)
+    assert wang_yee_check(3, 1, 1, 60).passed
+    assert len(calls) <= 361
 
 
 def test_wang_yee_rejects_bad_arguments():
