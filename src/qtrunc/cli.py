@@ -19,18 +19,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from types import ModuleType
+from typing import Callable
 
 from . import bijections, trunclab
 from .partitions import divisor_diff, jacobi_cube, m_k, set_a_size
-from .qseries import bilateral_theta, pochhammer, triple_product
+from .qseries import IntSeries, _require_window, bilateral_theta, triple_product
 from .report import CSV_COLUMNS, CheckReport
-from .trunclab import TruncParams
-
-SUITES = (
-    "pentagonal", "jacobi-cube", "am-identity", "theorem12", "mk-identity",
-    "phi", "psi", "conjecture", "theorem13", "corollary14", "gz", "mao",
-    "decomposition", "wang-yee", "recurrence117",
-)
+from .trunclab import TruncParams, _require_half_window
 
 _ALIASES = {"mk": "mk-identity"}
 
@@ -45,15 +41,44 @@ class SuiteSpec:
     out: str | None = None
 
 
+@dataclass(frozen=True)
+class Axis:
+    """One axis of a grid: the flags it reads, and a function from the flags
+    to the axis's values, each a dict of check parameters. The function
+    validates the flags and fills in the defaults."""
+
+    flags: tuple[str, ...]
+    values: Callable[[dict], list[dict]]
+
+
+@dataclass(frozen=True)
+class Table:
+    """A coefficient table: its columns, the axes of its points, and the
+    function from one point's parameters to that point's rows."""
+
+    columns: tuple[str, ...]
+    axes: tuple[Axis, ...]
+    rows: Callable[..., list[tuple]]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A suite: the name of its check in ``module``, the axes of its verify
+    points, and its table, if it has one. The check is looked up when a
+    point runs, never bound here, so a replaced check is the one called.
+    With ``params`` set, the check takes the point as one TruncParams."""
+
+    module: ModuleType
+    check: str
+    axes: tuple[Axis, ...]
+    params: bool = False
+    table: Table | None = None
+
+
 def _positive(name: str, value: int) -> int:
     if value < 1:
         raise ValueError(f"--{name} must be positive, got {value}")
     return value
-
-
-def _window(R: int, S: int) -> None:
-    if not 1 <= S < R:
-        raise ValueError(f"need 1 <= S < R, got R={R}, S={S}")
 
 
 def _span(grid: dict, key: str, maxkey: str, default_max: int) -> list[int]:
@@ -67,113 +92,145 @@ def _span(grid: dict, key: str, maxkey: str, default_max: int) -> list[int]:
     return list(range(1, default_max + 1))
 
 
-def _points(spec: SuiteSpec) -> list[tuple]:
-    """Expand a spec into an ordered list of evaluation points, validating
-    every parameter constraint before any computation starts."""
-    g, suite = spec.grid, spec.suite
-    R = 3 if g["R"] is None else g["R"]
-    S = 1 if g["S"] is None else g["S"]
-
-    def order(default: int) -> int:
-        val = default if g["N"] is None else g["N"]
-        if val < 0:
-            raise ValueError(f"--N must be nonnegative, got {val}")
-        return val
-
-    if suite == "pentagonal":
-        _window(R, S)
-        return [(R, S, order(100))]
-    if suite == "jacobi-cube":
-        return [(order(100),)]
-    if suite == "am-identity":
-        N = order(100)
-        return [(k, N) for k in _span(g, "k", "kmax", 6)]
-    if suite == "theorem12":
-        ns = _span(g, "n", "nmax", 30)
-        ks = _span(g, "k", "kmax", 5)
-        return [(n, k) for n in ns for k in ks]
-    if suite == "mk-identity":
-        ks = _span(g, "k", "kmax", 4)
-        if g["n"] is not None and g["nmax"] is not None:
-            raise ValueError("give --n or --nmax, not both")
-        if g["n"] is not None:
-            nmin = nmax = _positive("n", g["n"])
-        else:
-            nmin = 1
-            nmax = 25 if g["nmax"] is None else _positive("nmax", g["nmax"])
-        return [(k, nmax, nmin) for k in ks]
-    if suite == "phi":
-        return [(n,) for n in _span(g, "n", "nmax", 25)]
-    if suite == "psi":
-        ns = _span(g, "n", "nmax", 25)
-        ks = _span(g, "k", "kmax", 3)
-        return [(n, k) for n in ns for k in ks]
-    if suite in ("conjecture", "theorem13"):
-        _window(R, S)
-        N = order(100)
-        return [(R, S, k, N) for k in _span(g, "k", "kmax", 5)]
-    if suite == "corollary14":
-        nmax = 200 if g["nmax"] is None else _positive("nmax", g["nmax"])
-        return [(k, nmax) for k in _span(g, "k", "kmax", 6)]
-    if suite == "gz":
-        N = order(100)
-        return [(k, N) for k in _span(g, "k", "kmax", 5)]
-    if suite == "mao":
-        _window(R, S)
-        N = order(100)
-        return [(R, S, k, N) for k in _span(g, "k", "kmax", 4)]
-    if suite == "decomposition":
-        _window(R, S)
-        N = order(100)
-        return [(R, S, k, N) for k in _span(g, "k", "kmax", 3)]
-    if suite == "wang-yee":
-        if not (1 <= S and 2 * S <= R):
-            raise ValueError(f"need 1 <= S <= R/2, got R={R}, S={S}")
-        m = 1 if g["m"] is None else _positive("m", g["m"])
-        return [(R, S, m, order(100))]
-    if suite == "recurrence117":
-        nmax = 200 if g["nmax"] is None else _positive("nmax", g["nmax"])
-        return [(nmax,)]
-    raise ValueError(f"unknown suite {suite!r}")
+def _window(require: Callable[[int, int], None]) -> Axis:
+    """--R and --S (default 3 and 1), checked by ``require``."""
+    def values(g: dict) -> list[dict]:
+        R = 3 if g["R"] is None else g["R"]
+        S = 1 if g["S"] is None else g["S"]
+        require(R, S)
+        return [{"R": R, "S": S}]
+    return Axis(("R", "S"), values)
 
 
-def _evaluate(suite: str, point: tuple) -> CheckReport:
-    if suite == "pentagonal":
-        return trunclab.pentagonal_check(*point)
-    if suite == "jacobi-cube":
-        return trunclab.jacobi_cube_check(*point)
-    if suite == "am-identity":
-        return trunclab.am_check(*point)
-    if suite == "theorem12":
-        return bijections.theorem12_check(*point)
-    if suite == "mk-identity":
-        k, nmax, nmin = point
-        return trunclab.mk_identity_check(k, nmax, nmin)
-    if suite == "phi":
-        return bijections.verify_phi(*point)
-    if suite == "psi":
-        return bijections.verify_psi(*point)
-    if suite == "conjecture":
-        return trunclab.conjecture_check(TruncParams(*point))
-    if suite == "theorem13":
-        return trunclab.theorem13_check(TruncParams(*point))
-    if suite == "corollary14":
-        return trunclab.corollary14_report(*point)
-    if suite == "gz":
-        return trunclab.gz_check(*point)
-    if suite == "mao":
-        return trunclab.mao_check(TruncParams(*point))
-    if suite == "decomposition":
-        return trunclab.decomposition_check(TruncParams(*point))
-    if suite == "wang-yee":
-        return trunclab.wang_yee_check(*point)
-    if suite == "recurrence117":
-        return trunclab.recurrence_check(*point)
-    raise ValueError(f"unknown suite {suite!r}")
+def _order(g: dict) -> list[dict]:
+    N = 100 if g["N"] is None else g["N"]
+    if N < 0:
+        raise ValueError(f"--N must be nonnegative, got {N}")
+    return [{"N": N}]
 
 
-def _evaluate_star(item: tuple) -> CheckReport:
-    return _evaluate(*item)
+def _scalar(flag: str, default: int) -> Axis:
+    """One positive value of --flag."""
+    def values(g: dict) -> list[dict]:
+        return [{flag: _positive(flag, default if g[flag] is None else g[flag])}]
+    return Axis((flag,), values)
+
+
+def _sweep(key: str, maxkey: str, default_max: int) -> Axis:
+    """--key for one value, or --maxkey for 1..max; 1..default_max if neither."""
+    return Axis((key, maxkey),
+                lambda g: [{key: v} for v in _span(g, key, maxkey, default_max)])
+
+
+def _weights(default_max: int) -> Axis:
+    """The sweep of --n / --nmax as one range of weights nmin..nmax."""
+    def values(g: dict) -> list[dict]:
+        ns = _span(g, "n", "nmax", default_max)
+        return [{"nmin": ns[0], "nmax": ns[-1]}]
+    return Axis(("n", "nmax"), values)
+
+
+_WINDOW = _window(_require_window)
+_ORDER = Axis(("N",), _order)
+
+
+def _coeff_rows(N: int, *series: IntSeries) -> list[tuple]:
+    """One row per degree n <= N: n, then the coefficient of q^n in each series."""
+    return [(n, *(s.coeff(n) for s in series)) for n in range(N + 1)]
+
+
+def _index_sum_rows(nmax: int, k: int | None = None) -> list[tuple]:
+    return [(n, trunclab.index_weighted_sum(n, k), divisor_diff(n, 3, 1))
+            for n in range(1, nmax + 1)]
+
+
+def _theorem12_rows(n: int, k: int) -> list[tuple]:
+    a2, a1 = set_a_size(2, k - 1, n), set_a_size(1, -k, n)
+    return [(n, k, a2, a1, a2 - a1)]
+
+
+def _theta_table(series: str) -> Table:
+    """The table of one truncated theta quotient series of trunclab."""
+    return Table(("n", "coeff"), (_WINDOW, _scalar("k", 1), _ORDER),
+                 lambda R, S, k, N: _coeff_rows(
+                     N, getattr(trunclab, series)(TruncParams(R, S, k, N))))
+
+
+# Verify axes are listed in the order their flags are validated; a grid runs
+# its first axis outermost.
+SUITES = {
+    "pentagonal": Suite(
+        trunclab, "pentagonal_check", (_WINDOW, _ORDER),
+        table=Table(("n", "product", "theta"), (_WINDOW, _ORDER),
+                    lambda R, S, N: _coeff_rows(N, triple_product(R, S, N),
+                                                bilateral_theta(R, S, N)))),
+    "jacobi-cube": Suite(
+        trunclab, "jacobi_cube_check", (_ORDER,),
+        table=Table(("n", "cube", "sparse_sum"), (_ORDER,),
+                    lambda N: _coeff_rows(N, trunclab._euler_cubed(N), jacobi_cube(N)))),
+    "am-identity": Suite(
+        trunclab, "am_check", (_ORDER, _sweep("k", "kmax", 6)),
+        table=Table(("n", "lhs", "rhs"), (_scalar("k", 2), _ORDER),
+                    lambda k, N: _coeff_rows(N, trunclab.am_lhs(k, N),
+                                             trunclab.am_rhs(k, N)))),
+    "theorem12": Suite(
+        bijections, "theorem12_check", (_sweep("n", "nmax", 30), _sweep("k", "kmax", 5)),
+        table=Table(("n", "k", "A2_size", "A1_neg_size", "difference"),
+                    (_sweep("n", "nmax", 30), _sweep("k", "kmax", 5)), _theorem12_rows)),
+    "mk-identity": Suite(
+        trunclab, "mk_identity_check", (_sweep("k", "kmax", 4), _weights(25)),
+        table=Table(("n", "k", "m_k"), (_sweep("n", "nmax", 15), _sweep("k", "kmax", 4)),
+                    lambda n, k: [(n, k, m_k(k, n))])),
+    "phi": Suite(bijections, "verify_phi", (_sweep("n", "nmax", 25),)),
+    "psi": Suite(bijections, "verify_psi",
+                 (_sweep("n", "nmax", 25), _sweep("k", "kmax", 3))),
+    "conjecture": Suite(trunclab, "conjecture_check",
+                        (_WINDOW, _ORDER, _sweep("k", "kmax", 5)), params=True,
+                        table=_theta_table("conjecture_series")),
+    "theorem13": Suite(trunclab, "theorem13_check",
+                       (_WINDOW, _ORDER, _sweep("k", "kmax", 5)), params=True,
+                       table=_theta_table("theorem13_series")),
+    "corollary14": Suite(
+        trunclab, "corollary14_report", (_scalar("nmax", 200), _sweep("k", "kmax", 6)),
+        table=Table(("n", "partial_sum", "divisor_diff"),
+                    (_scalar("k", 1), _scalar("nmax", 30)),
+                    lambda k, nmax: _index_sum_rows(nmax, k))),
+    "gz": Suite(
+        trunclab, "gz_check", (_ORDER, _sweep("k", "kmax", 5)),
+        table=Table(("n", "coeff"), (_scalar("k", 1), _ORDER),
+                    lambda k, N: _coeff_rows(N, trunclab.gz_series(k, N)))),
+    "mao": Suite(trunclab, "mao_check",
+                 (_WINDOW, _ORDER, _sweep("k", "kmax", 4)), params=True),
+    "decomposition": Suite(trunclab, "decomposition_check",
+                           (_WINDOW, _ORDER, _sweep("k", "kmax", 3)), params=True),
+    "wang-yee": Suite(trunclab, "wang_yee_check",
+                      (_window(_require_half_window), _scalar("m", 1), _ORDER)),
+    "recurrence117": Suite(
+        trunclab, "recurrence_check", (_scalar("nmax", 200),),
+        table=Table(("n", "lhs", "divisor_diff"), (_scalar("nmax", 30),), _index_sum_rows)),
+}
+
+
+def _points(spec: SuiteSpec, axes: tuple[Axis, ...], command: str) -> list[dict]:
+    """Every combination of one value per axis. A flag no axis reads is a
+    usage error, and every axis is validated before any point is formed, so
+    no computation starts on a bad grid."""
+    read = {flag for axis in axes for flag in axis.flags}
+    unread = [f"--{key}" for key, val in spec.grid.items()
+              if val is not None and key not in read]
+    if unread:
+        raise ValueError(f"{command} {spec.suite} does not read {', '.join(unread)}")
+    points = [{}]
+    for axis in axes:
+        values = axis.values(spec.grid)
+        points = [{**point, **value} for point in points for value in values]
+    return points
+
+
+def _evaluate(suite: str, point: dict) -> CheckReport:
+    entry = SUITES[suite]
+    check = getattr(entry.module, entry.check)
+    return check(TruncParams(**point)) if entry.params else check(**point)
 
 
 def _worker_count() -> int:
@@ -186,7 +243,7 @@ def _worker_count() -> int:
         raise ValueError(f"QTRUNC_WORKERS must be an integer, got {raw!r}") from None
 
 
-def _run_points(suite: str, points: list[tuple]) -> list[CheckReport]:
+def _run_points(suite: str, points: list[dict]) -> list[CheckReport]:
     workers = _worker_count()
     if workers > 1 and len(points) > 1:
         # imported here: the pool module pulls in multiprocessing, socket,
@@ -194,7 +251,7 @@ def _run_points(suite: str, points: list[tuple]) -> list[CheckReport]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            return list(pool.map(_evaluate_star, [(suite, p) for p in points]))
+            return list(pool.map(_evaluate, [suite] * len(points), points))
     return [_evaluate(suite, p) for p in points]
 
 
@@ -249,96 +306,13 @@ def _emit(spec: SuiteSpec, payload: str, summary: str) -> None:
 
 def run(spec: SuiteSpec) -> int:
     """Evaluate a verify invocation; returns the process exit code."""
-    points = _points(spec)
+    points = _points(spec, SUITES[spec.suite].axes, "verify")
     reports = _run_points(spec.suite, points)
     _emit(spec, _render_verify(spec, reports), _summary_line(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _table_rows(spec: SuiteSpec) -> tuple[list[str], list[tuple]]:
-    g, suite = spec.grid, spec.suite
-    R = 3 if g["R"] is None else g["R"]
-    S = 1 if g["S"] is None else g["S"]
-
-    def order(default: int) -> int:
-        val = default if g["N"] is None else g["N"]
-        if val < 0:
-            raise ValueError(f"--N must be nonnegative, got {val}")
-        return val
-
-    def single(key: str, default: int) -> int:
-        val = g.get(key)
-        return default if val is None else _positive(key, val)
-
-    if suite == "pentagonal":
-        _window(R, S)
-        N = order(100)
-        prod = triple_product(R, S, N)
-        theta = bilateral_theta(R, S, N)
-        return ["n", "product", "theta"], [
-            (n, prod.coeff(n), theta.coeff(n)) for n in range(N + 1)
-        ]
-    if suite == "jacobi-cube":
-        N = order(100)
-        euler = pochhammer(1, 1, N)
-        cube = euler * euler * euler
-        sparse = jacobi_cube(N)
-        return ["n", "cube", "sparse_sum"], [
-            (n, cube.coeff(n), sparse.coeff(n)) for n in range(N + 1)
-        ]
-    if suite == "am-identity":
-        k = single("k", 2)
-        N = order(100)
-        lhs = trunclab.am_lhs(k, N)
-        rhs = trunclab.am_rhs(k, N)
-        return ["n", "lhs", "rhs"], [
-            (n, lhs.coeff(n), rhs.coeff(n)) for n in range(N + 1)
-        ]
-    if suite == "theorem12":
-        ns = _span(g, "n", "nmax", 30)
-        ks = _span(g, "k", "kmax", 5)
-        rows = []
-        for n in ns:
-            for k in ks:
-                a2 = set_a_size(2, k - 1, n)
-                a1 = set_a_size(1, -k, n)
-                rows.append((n, k, a2, a1, a2 - a1))
-        return ["n", "k", "A2_size", "A1_neg_size", "difference"], rows
-    if suite == "mk-identity":
-        ns = _span(g, "n", "nmax", 15)
-        ks = _span(g, "k", "kmax", 4)
-        rows = [(n, k, m_k(k, n)) for n in ns for k in ks]
-        return ["n", "k", "m_k"], rows
-    if suite in ("conjecture", "theorem13"):
-        _window(R, S)
-        params = TruncParams(R, S, single("k", 1), order(100))
-        if suite == "conjecture":
-            series = trunclab.conjecture_series(params)
-        else:
-            series = trunclab.theorem13_series(params)
-        return ["n", "coeff"], [(n, series.coeff(n)) for n in range(params.N + 1)]
-    if suite == "corollary14":
-        k = single("k", 1)
-        nmax = single("nmax", 30)
-        rows = []
-        for n in range(1, nmax + 1):
-            rows.append((n, trunclab.index_weighted_sum(n, k), divisor_diff(n, 3, 1)))
-        return ["n", "partial_sum", "divisor_diff"], rows
-    if suite == "gz":
-        k = single("k", 1)
-        N = order(100)
-        series = trunclab.gz_series(k, N)
-        return ["n", "coeff"], [(n, series.coeff(n)) for n in range(N + 1)]
-    if suite == "recurrence117":
-        nmax = single("nmax", 30)
-        rows = []
-        for n in range(1, nmax + 1):
-            rows.append((n, trunclab.index_weighted_sum(n), divisor_diff(n, 3, 1)))
-        return ["n", "lhs", "divisor_diff"], rows
-    raise ValueError(f"table output is not available for suite {suite!r}")
-
-
-def _render_table(spec: SuiteSpec, columns: list[str], rows: list[tuple]) -> str:
+def _render_table(spec: SuiteSpec, columns: tuple[str, ...], rows: list[tuple]) -> str:
     if spec.format == "json":
         doc = [dict(zip(columns, row)) for row in rows]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -360,8 +334,11 @@ def _render_table(spec: SuiteSpec, columns: list[str], rows: list[tuple]) -> str
 
 def table(spec: SuiteSpec) -> int:
     """Evaluate a table invocation; returns the process exit code."""
-    columns, rows = _table_rows(spec)
-    _emit(spec, _render_table(spec, columns, rows), f"{len(rows)} rows")
+    tab = SUITES[spec.suite].table
+    if tab is None:
+        raise ValueError(f"table output is not available for suite {spec.suite!r}")
+    rows = [row for point in _points(spec, tab.axes, "table") for row in tab.rows(**point)]
+    _emit(spec, _render_table(spec, tab.columns, rows), f"{len(rows)} rows")
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .qseries import IntSeries, pochhammer, triple_product
+from .qseries import IntSeries, _require_window
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,6 @@ class Partition:
             sum(1 for p in self.parts if p >= i)
             for i in range(1, self.parts[0] + 1)
         ))
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(list(self.parts))
 
 
 def _partition_tuples(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -189,8 +184,7 @@ def divisor_diff(n: int, R: int, S: int) -> int:
     to R-S mod R."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if not 1 <= S < R:
-        raise ValueError(f"need 1 <= S < R, got R={R}, S={S}")
+    _require_window(R, S)
     diff = 0
     d = 1
     while d * d <= n:
@@ -202,21 +196,6 @@ def divisor_diff(n: int, R: int, S: int) -> int:
                     diff -= 1
         d += 1
     return diff
-
-
-def product_counts(R: int, S: int, order: int) -> list[int]:
-    """First order+1 coefficients of the reciprocal triple product.
-
-    (3,1) gives p(n), (4,1) the distinct-odd-parts counts, (2,1) the
-    overpartition counts.
-    """
-    return triple_product(R, S, order).invert().dense()
-
-
-def t_counts(order: int) -> list[int]:
-    """Coefficients of the reciprocal cubed Euler product (3-colored partitions)."""
-    euler = pochhammer(1, 1, order)
-    return (euler * euler * euler).invert().dense()
 
 
 def jacobi_cube(order: int) -> IntSeries:

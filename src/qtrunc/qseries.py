@@ -38,8 +38,6 @@ for the check.
 
 from __future__ import annotations
 
-import json
-
 # Largest term count of the sparser operand that still goes to the schoolbook
 # loop; above it, the Kronecker kernel is faster on every shape measured.
 _SCHOOLBOOK_MAX_TERMS = 16
@@ -268,10 +266,6 @@ class IntSeries:
             out[d] += out[d - e]
         return IntSeries._from_list(out, self.order)
 
-    def to_json(self) -> str:
-        """JSON array of decimal-string coefficients [c0, ..., cN]."""
-        return json.dumps([str(c) for c in self.dense()])
-
 
 def _pack(coeffs: list[int], width: int) -> int:
     """The sum of coeffs[i] * 2^(8 * width * i), for signed coefficients
@@ -304,6 +298,12 @@ def _kronecker_mul(a: list[int], b: list[int], n: int) -> list[int]:
     return [s + (below < 0) for s, below in zip(slots, [0] + slots)]
 
 
+def _require_window(R: int, S: int) -> None:
+    """Reject (R, S) outside the window 1 <= S < R of the triple product."""
+    if not 1 <= S < R:
+        raise ValueError(f"need 1 <= S < R, got R={R}, S={S}")
+
+
 def pochhammer(a: int, step: int, order: int) -> IntSeries:
     """(q^a; q^step)_infinity truncated: product of (1 - q^(a + i*step)).
 
@@ -324,8 +324,7 @@ def pochhammer(a: int, step: int, order: int) -> IntSeries:
 
 def triple_product(R: int, S: int, order: int) -> IntSeries:
     """(q^S, q^(R-S), q^R; q^R)_infinity truncated to the given order."""
-    if not 1 <= S < R:
-        raise ValueError(f"need 1 <= S < R, got R={R}, S={S}")
+    _require_window(R, S)
     dense = [0] * (order + 1)
     dense[0] = 1
     for base in (S, R - S, R):
@@ -341,33 +340,25 @@ def bilateral_theta(R: int, S: int, order: int) -> IntSeries:
     The constraint 1 <= S < R keeps every exponent nonnegative. Exponents
     from the two tails may coincide (R = 2S); contributions accumulate.
     """
-    if not 1 <= S < R:
-        raise ValueError(f"need 1 <= S < R, got R={R}, S={S}")
+    _require_window(R, S)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     coeffs: dict[int, int] = {}
-    j = 0
-    while True:
-        e = R * j * (j + 1) // 2 - S * j
-        if e > order:
-            break
-        coeffs[e] = coeffs.get(e, 0) + (1 if j % 2 == 0 else -1)
-        j += 1
-    j = -1
-    while True:
-        e = R * j * (j + 1) // 2 - S * j
-        if e > order:
-            break
-        coeffs[e] = coeffs.get(e, 0) + (1 if j % 2 == 0 else -1)
-        j -= 1
+    # each tail's exponents grow with |j|, so walk out from j = 0 and j = -1
+    for j, step in ((0, 1), (-1, -1)):
+        while True:
+            e = R * j * (j + 1) // 2 - S * j
+            if e > order:
+                break
+            coeffs[e] = coeffs.get(e, 0) + (1 if j % 2 == 0 else -1)
+            j += step
     return IntSeries(coeffs, order)
 
 
 def lambert_diff(R: int, S: int, order: int) -> IntSeries:
     """Series whose q^m coefficient counts divisors of m that are S mod R
     minus those that are (R-S) mod R."""
-    if not 1 <= S < R:
-        raise ValueError(f"need 1 <= S < R, got R={R}, S={S}")
+    _require_window(R, S)
     dense = [0] * (order + 1)
     for d in range(S, order + 1, R):
         for mult in range(d, order + 1, d):
@@ -376,19 +367,3 @@ def lambert_diff(R: int, S: int, order: int) -> IntSeries:
         for mult in range(d, order + 1, d):
             dense[mult] -= 1
     return IntSeries._from_list(dense, order)
-
-
-def nonneg_from(series: IntSeries, n0: int):
-    """Report whether every coefficient of q^n for n0 <= n <= order is >= 0.
-
-    The first offending degree (if any) is recorded as the violation.
-    """
-    from .report import CheckReport
-
-    report = CheckReport("nonneg_from", {"n0": n0, "order": series.order})
-    for n in range(n0, series.order + 1):
-        c = series.coeffs.get(n, 0)
-        if c < 0:
-            report.add(n, ">= 0", c)
-            break
-    return report

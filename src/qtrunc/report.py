@@ -94,11 +94,3 @@ def _cell(value: Any):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return json.dumps(value, sort_keys=True)
-
-
-def merge_reports(suite: str, params: dict, reports: list[CheckReport]) -> CheckReport:
-    """Combine sub-reports into one, keeping violations in their given order."""
-    merged = CheckReport(suite, params)
-    for rep in reports:
-        merged.violations.extend(rep.violations)
-    return merged

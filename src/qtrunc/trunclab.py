@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
 from .qseries import (
     IntSeries,
+    _require_window,
     bilateral_theta,
     lambert_diff,
-    nonneg_from,
     pochhammer,
     triple_product,
 )
@@ -43,11 +44,6 @@ class TruncParams:
             raise ValueError(f"N must be nonnegative, got {self.N}")
 
 
-def _require_window(R: int, S: int) -> None:
-    if not 1 <= S < R:
-        raise ValueError(f"need 1 <= S < R, got R={R}, S={S}")
-
-
 def _sign(j: int) -> int:
     return 1 if j % 2 == 0 else -1
 
@@ -55,11 +51,6 @@ def _sign(j: int) -> int:
 @lru_cache(maxsize=None)
 def _inv_triple(R: int, S: int, N: int) -> IntSeries:
     return triple_product(R, S, N).invert()
-
-
-@lru_cache(maxsize=None)
-def _inv_euler(N: int) -> IntSeries:
-    return pochhammer(1, 1, N).invert()
 
 
 @lru_cache(maxsize=None)
@@ -85,11 +76,26 @@ def _diff_degrees(a: IntSeries, b: IntSeries) -> list[int]:
     return sorted(degs)
 
 
-def _add_sign_violations(report: CheckReport, series: IntSeries, n0: int) -> None:
+def _negative_coeffs(series: IntSeries, n0: int) -> Iterator[tuple[int, int]]:
+    """(degree, coefficient) of each negative coefficient of q^n0 .. q^order,
+    lowest degree first: the scan behind every sign claim."""
     for n in range(n0, series.order + 1):
         c = series.coeffs.get(n, 0)
         if c < 0:
-            report.add(n, ">= 0", c)
+            yield n, c
+
+
+def _theta_numerator(R: int, S: int, k: int, N: int) -> IntSeries:
+    """Sum of (-1)^j q^(R j(j+1)/2 - S j) over -k <= j < k, to order N: the
+    bilateral theta sum cut to k terms on each side. It is built in pairs,
+    term j >= 0 with term -(j+1), whose exponent is larger by (2j+1)S."""
+    coeffs: dict[int, int] = {}
+    for j in range(k):
+        e = R * j * (j + 1) // 2 - S * j
+        for exp, c in ((e, _sign(j)), (e + (2 * j + 1) * S, -_sign(j))):
+            if exp <= N:
+                coeffs[exp] = coeffs.get(exp, 0) + c
+    return IntSeries(coeffs, N)
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +140,11 @@ def q_binomial(n: int, k: int, step: int = 1, order: int | None = None) -> IntSe
 
 
 def am_lhs(k: int, N: int) -> IntSeries:
-    """k-truncated pentagonal alternating sum divided by the Euler product."""
+    """k-truncated pentagonal alternating sum divided by the Euler product:
+    the theta quotient at (R, S) = (3, 1), whose triple product is (q;q)_inf."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    coeffs: dict[int, int] = {}
-    for j in range(k):
-        for e, c in ((gpn(j), _sign(j)), (gpn(j) + 2 * j + 1, -_sign(j))):
-            if e <= N:
-                coeffs[e] = coeffs.get(e, 0) + c
-    return IntSeries(coeffs, N) * _inv_euler(N)
+    return _theta_numerator(3, 1, k, N) * _inv_triple(3, 1, N)
 
 
 def am_rhs(k: int, N: int) -> IntSeries:
@@ -257,15 +259,8 @@ def conjecture_series(P: TruncParams) -> IntSeries:
     from q^1 on is the literal claim under test.
     """
     _require_window(P.R, P.S)
-    R, S, k, N = P.R, P.S, P.k, P.N
-    coeffs: dict[int, int] = {}
-    for j in range(k):
-        e = R * j * (j + 1) // 2 - S * j
-        for exp, c in ((e, _sign(j)), (e + (2 * j + 1) * S, -_sign(j))):
-            if exp <= N:
-                coeffs[exp] = coeffs.get(exp, 0) + c
-    series = IntSeries(coeffs, N) * _inv_triple(R, S, N)
-    return series.scale(_sign(k - 1))
+    series = _theta_numerator(P.R, P.S, P.k, P.N) * _inv_triple(P.R, P.S, P.N)
+    return series.scale(_sign(P.k - 1))
 
 
 def conjecture_check(P: TruncParams) -> CheckReport:
@@ -274,7 +269,8 @@ def conjecture_check(P: TruncParams) -> CheckReport:
         {"R": P.R, "S": P.S, "k": P.k, "N": P.N,
          "regime": conjecture_regime(P.R, P.S)},
     )
-    _add_sign_violations(report, conjecture_series(P), 1)
+    for n, c in _negative_coeffs(conjecture_series(P), 1):
+        report.add(n, ">= 0", c)
     return report
 
 
@@ -303,7 +299,8 @@ def theorem13_check(P: TruncParams) -> CheckReport:
     The constant term is exempt: the claim starts at q^1.
     """
     report = CheckReport("theorem13", {"R": P.R, "S": P.S, "k": P.k, "N": P.N})
-    _add_sign_violations(report, theorem13_series(P), 1)
+    for n, c in _negative_coeffs(theorem13_series(P), 1):
+        report.add(n, ">= 0", c)
     return report
 
 
@@ -391,7 +388,7 @@ def _mao_theta(R: int, A: int, N: int) -> IntSeries:
         e = R * j * (j - 1) // 2 + A * j
         if e > N:
             break
-        coeffs[e] = coeffs.get(e, 0) + (1 if j % 2 == 1 else -1)
+        coeffs[e] = coeffs.get(e, 0) + _sign(j + 1)
         j += 1
     return IntSeries(coeffs, N)
 
@@ -505,10 +502,10 @@ def decomposition_check(P: TruncParams) -> CheckReport:
         report.add({"check": "identity", "degree": d}, rhs.coeff(d), lhs.coeff(d))
     inv3 = _inv_triple(R, S, N)
     for idx in (1, 2, 3, 4):
-        quotient = i_series(idx, P) * inv3
-        for v in nonneg_from(quotient, 0).violations:
-            report.add({"check": f"I{idx}-positivity", "degree": v.witness},
-                       v.expected, v.actual)
+        # only the first negative degree of each quotient is reported
+        for n, c in _negative_coeffs(i_series(idx, P) * inv3, 0):
+            report.add({"check": f"I{idx}-positivity", "degree": n}, ">= 0", c)
+            break
     return report
 
 
@@ -532,8 +529,15 @@ def gz_series(k: int, N: int) -> IntSeries:
 
 def gz_check(k: int, N: int) -> CheckReport:
     report = CheckReport("gz", {"k": k, "N": N})
-    _add_sign_violations(report, gz_series(k, N), 1)
+    for n, c in _negative_coeffs(gz_series(k, N), 1):
+        report.add(n, ">= 0", c)
     return report
+
+
+def _require_half_window(R: int, S: int) -> None:
+    """Reject (R, S) outside wang-yee's window 1 <= S, 2S <= R."""
+    if not (1 <= S and 2 * S <= R):
+        raise ValueError(f"need 1 <= S <= R/2, got R={R}, S={S}")
 
 
 def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
@@ -553,8 +557,7 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     Each product and each shifted term is cut to the order that survives its
     shift before it is formed, so no coefficient past order N is computed.
     """
-    if not (1 <= S and 2 * S <= R):
-        raise ValueError(f"need 1 <= S <= R/2, got R={R}, S={S}")
+    _require_half_window(R, S)
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if N < 0:
@@ -611,13 +614,7 @@ def wang_yee_check(R: int, S: int, m: int, N: int) -> CheckReport:
     quadruple-sum series form (wang_yee_rhs), compared exactly to order N."""
     rhs = wang_yee_rhs(R, S, m, N)
     report = CheckReport("wang-yee", {"R": R, "S": S, "m": m, "N": N})
-    coeffs: dict[int, int] = {}
-    for n in range(m):
-        e = R * n * (n + 1) // 2 - S * n
-        for exp, c in ((e, _sign(n)), (e + (2 * n + 1) * S, -_sign(n))):
-            if exp <= N:
-                coeffs[exp] = coeffs.get(exp, 0) + c
-    lhs = IntSeries(coeffs, N) * _inv_triple(R, S, N)
+    lhs = _theta_numerator(R, S, m, N) * _inv_triple(R, S, N)
     for d in _diff_degrees(lhs, rhs):
         report.add(d, rhs.coeff(d), lhs.coeff(d))
     return report

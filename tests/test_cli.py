@@ -51,11 +51,26 @@ def test_verify_usage_errors_exit_two(capsys):
         ["verify", "wang-yee", "--R", "3", "--S", "2"],
         ["verify", "theorem13", "--k", "2", "--kmax", "4"],
         ["table", "psi"],
+        # a flag the suite does not read
+        ["verify", "pentagonal", "--k", "3", "--nmax", "9"],
+        ["table", "am-identity", "--kmax", "3"],
+        ["verify", "wang-yee", "--k", "2"],
+        ["table", "recurrence117", "--N", "50"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_unread_flags_are_named_in_one_error(capsys):
+    code, out, err = run_cli(["verify", "pentagonal", "--k", "3", "--nmax", "9"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: verify pentagonal does not read --k, --nmax\n"
+    # verify and table read different flags: table gz reads --k, not --kmax
+    code, _, err = run_cli(["table", "gz", "--kmax", "2"], capsys)
+    assert code == 2
+    assert err == "error: table gz does not read --kmax\n"
 
 
 def test_verify_rejects_garbage_worker_count(capsys, monkeypatch):

@@ -17,10 +17,9 @@ from qtrunc import (
     m_k,
     p_euler,
     pochhammer,
-    product_counts,
     set_a,
     set_a_size,
-    t_counts,
+    triple_product,
 )
 
 
@@ -234,6 +233,11 @@ def test_divisor_diff_handles_perfect_squares():
     assert divisor_diff(49, 3, 1) == 3  # divisors 1, 7, 49
 
 
+def product_counts(R: int, S: int, order: int) -> list[int]:
+    """First order+1 coefficients of the reciprocal triple product."""
+    return triple_product(R, S, order).invert().dense()
+
+
 def test_product_counts_all_parts_case():
     assert product_counts(3, 1, 20) == [p_euler(n) for n in range(21)]
 
@@ -267,7 +271,10 @@ def test_overpartition_counts_from_distinct_part_weights():
 
 
 def test_t_counts_is_threefold_convolution():
-    t = t_counts(12)
+    """Coefficients of the reciprocal cubed Euler product (3-colored
+    partitions) are the threefold convolution of p(n)."""
+    euler = pochhammer(1, 1, 12)
+    t = (euler * euler * euler).invert().dense()
     p = [p_euler(n) for n in range(13)]
     for n in range(13):
         expected = sum(

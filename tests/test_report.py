@@ -5,7 +5,7 @@ import io
 import json
 
 from qtrunc import CheckReport, Violation
-from qtrunc.report import CSV_COLUMNS, merge_reports
+from qtrunc.report import CSV_COLUMNS
 
 
 def test_pass_is_derived_from_violations():
@@ -70,16 +70,3 @@ def test_csv_rows_write_under_the_published_header():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "suite,R,S,k,n,expected,actual,pass"
     assert lines[1] == "gz,,,1,3,>= 0,-2,False"
-
-
-def test_merge_reports_concatenates_violations():
-    a = CheckReport("phi", {"n": 3})
-    a.add("x", 1, 2)
-    b = CheckReport("phi", {"n": 4})
-    b.add("y", 3, 4)
-    merged = merge_reports("phi", {"nmax": 4}, [a, b])
-    assert merged.suite == "phi"
-    assert merged.params == {"nmax": 4}
-    assert [v.witness for v in merged.violations] == ["x", "y"]
-    assert not merged.passed
-    assert merge_reports("phi", {}, []).passed

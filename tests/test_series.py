@@ -6,8 +6,6 @@ divisor scan for the Lambert coefficients. Every fast path in qseries
 must agree with them exactly.
 """
 
-import json
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,6 @@ from qtrunc import (
     IntSeries,
     bilateral_theta,
     lambert_diff,
-    nonneg_from,
     pochhammer,
     triple_product,
 )
@@ -276,11 +273,6 @@ def test_repr_mentions_leading_terms():
     assert repr(IntSeries.zero(3)) == "IntSeries(0, order=3)"
 
 
-def test_to_json_uses_decimal_strings():
-    s = IntSeries.from_dense([1, 0, -2])
-    assert json.loads(s.to_json()) == ["1", "0", "-2"]
-
-
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4),
        st.integers(min_value=0, max_value=25))
 @settings(max_examples=80, deadline=None)
@@ -347,13 +339,3 @@ def test_lambert_diff_matches_divisor_scan():
 
 def test_lambert_diff_constant_term_is_zero():
     assert lambert_diff(3, 1, 8).coeff(0) == 0
-
-
-def test_nonneg_from_reports_first_offender():
-    ok = nonneg_from(IntSeries.from_dense([-5, 0, 2, 7]), 1)
-    assert ok.passed
-    bad = nonneg_from(IntSeries.from_dense([1, 2, -3, -4]), 0)
-    assert not bad.passed
-    assert len(bad.violations) == 1
-    assert bad.violations[0].witness == 2
-    assert bad.violations[0].actual == -3

@@ -7,6 +7,7 @@ an independent reference.
 
 import pytest
 
+from qtrunc import trunclab
 from qtrunc import (
     TruncParams,
     am_check,
@@ -34,14 +35,18 @@ from qtrunc import (
     pentagonal_check,
     q_binomial,
     recurrence_check,
-    t_counts,
     theorem13_check,
     theorem13_series,
     wang_yee_check,
     wang_yee_rhs,
 )
-from qtrunc.qseries import IntSeries
-from qtrunc.trunclab import _mao_double_sum, conjecture_regime
+from qtrunc.qseries import IntSeries, bilateral_theta, pochhammer
+from qtrunc.trunclab import (
+    _mao_double_sum,
+    _negative_coeffs,
+    _theta_numerator,
+    conjecture_regime,
+)
 
 
 def naive_mul(a, b, order):
@@ -173,6 +178,36 @@ def test_am_identity_on_a_grid():
     for k in range(1, 6):
         report = am_check(k, 60)
         assert report.passed, (k, report.violations[:3])
+
+
+def test_am_lhs_matches_pentagonal_sum_over_euler_product():
+    """am_lhs against its definition: the k-truncated sum of (-1)^j
+    (q^gpn(j) - q^(gpn(j) + 2j + 1)) times 1/(q;q), built here from gpn."""
+    N = 150
+    inv_euler = pochhammer(1, 1, N).invert()
+    for k in range(1, 9):
+        coeffs = {}
+        for j in range(k):
+            for e, c in ((gpn(j), (-1) ** j), (gpn(j) + 2 * j + 1, -(-1) ** j)):
+                if e <= N:
+                    coeffs[e] = coeffs.get(e, 0) + c
+        assert am_lhs(k, N) == IntSeries(coeffs, N) * inv_euler, k
+
+
+def test_theta_numerator_is_the_bilateral_theta_cut():
+    # once every term up to the order is in, the cut sum is the whole sum
+    for R, S in [(3, 1), (2, 1), (5, 2), (5, 4), (7, 3)]:
+        assert _theta_numerator(R, S, 12, 60) == bilateral_theta(R, S, 60), (R, S)
+    assert _theta_numerator(3, 1, 2, 20).dense() == [1, -1, -1, 0, 0, 1] + [0] * 15
+
+
+def test_negative_coeffs_reports_first_offender():
+    ok = IntSeries.from_dense([-5, 0, 2, 7])
+    assert list(_negative_coeffs(ok, 1)) == []
+    bad = IntSeries.from_dense([1, 2, -3, -4])
+    assert next(_negative_coeffs(bad, 0)) == (2, -3)
+    assert list(_negative_coeffs(bad, 0)) == [(2, -3), (3, -4)]
+    assert list(_negative_coeffs(bad, 3)) == [(3, -4)]
 
 
 def test_am_rhs_trivial_when_every_term_overshoots():
@@ -374,8 +409,22 @@ def test_decomposition_check_grid():
             assert report.passed, (R, S, k, report.violations[:3])
 
 
+def test_decomposition_reports_first_negative_degree_per_index(monkeypatch):
+    """Each I-quotient with negative coefficients yields one positivity
+    violation: its lowest negative degree."""
+    monkeypatch.setattr(trunclab, "i_series",
+                        lambda idx, P: IntSeries({0: 1, 4: -3, 7: -5}, P.N))
+    monkeypatch.setattr(trunclab, "_inv_triple", lambda R, S, N: IntSeries.one(N))
+    report = decomposition_check(TruncParams(3, 1, 1, 20))
+    positivity = [v for v in report.violations if "positivity" in v.witness["check"]]
+    assert [(v.witness, v.expected, v.actual) for v in positivity] == [
+        ({"check": f"I{idx}-positivity", "degree": 4}, ">= 0", -3) for idx in (1, 2, 3, 4)
+    ]
+
+
 def test_gz_series_from_colored_counts():
-    t = t_counts(25)
+    euler = pochhammer(1, 1, 25)
+    t = (euler * euler * euler).invert().dense()  # 3-colored partitions
 
     def colored(n):
         return t[n] if n >= 0 else 0
