@@ -12,7 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition, enumerate_partitions, gpn, p_euler, set_a, set_a_size
+from .partitions import (
+    Partition,
+    _conjugate,
+    _partition_tuples,
+    _rank,
+    _rank_class,
+    _require_partition,
+    gpn,
+    p_euler,
+    set_a_size,
+)
 from .report import CheckReport
 
 
@@ -28,11 +38,36 @@ class IndexedPartition:
     n: int
 
     def __post_init__(self):
-        expected = self.n - gpn(self.j)
-        if self.lam.weight != expected:
-            raise ValueError(
-                f"weight {self.lam.weight} does not match n - gpn(j) = {expected}"
-            )
+        _require_weight(self.lam.weight, self.j, self.n)
+
+
+def _require_weight(weight: int, j: int, n: int) -> None:
+    expected = n - gpn(j)
+    if weight != expected:
+        raise ValueError(f"weight {weight} does not match n - gpn(j) = {expected}")
+
+
+def _require_indexed(parts: tuple[int, ...], j: int, n: int) -> None:
+    """Raise the ValueError that ``IndexedPartition(Partition(parts), j, n)``
+    raises, if any."""
+    _require_partition(parts)
+    _require_weight(sum(parts), j, n)
+
+
+def _phi(parts: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int, int]:
+    """The involution on a partition tuple: (image parts, image index, case)."""
+    t = len(parts)
+    if t == 0:
+        if j == 0:
+            raise ValueError("the involution is undefined on (empty, j=0)")
+        if j >= 1:
+            return (3 * j - 1,), j - 1, 1
+        return (1,) * (-3 * j - 2), j + 1, 2
+    head = t + 3 * j - 1
+    if head >= parts[0] - 1:
+        rest = tuple(p - 1 for p in parts if p > 1)
+        return ((head,) + rest if head else rest), j - 1, 1
+    return tuple(p + 1 for p in parts[1:]) + (1,) * (parts[0] - head - 2), j + 1, 2
 
 
 def phi(x: IndexedPartition) -> tuple[IndexedPartition, int]:
@@ -45,23 +80,19 @@ def phi(x: IndexedPartition) -> tuple[IndexedPartition, int]:
     involution and the weight bookkeeping valid: a single part 3j-1 for
     j >= 1, a column of -3j-2 ones for j <= -1. (empty, 0) has no image.
     """
-    lam, j, n = x.lam, x.j, x.n
-    t = lam.num_parts
-    if t == 0:
-        if j == 0:
-            raise ValueError("the involution is undefined on (empty, j=0)")
-        if j >= 1:
-            return IndexedPartition(Partition((3 * j - 1,)), j - 1, n), 1
-        ones = -3 * j - 2
-        return IndexedPartition(Partition((1,) * ones), j + 1, n), 2
-    lam1 = lam.largest
-    if t + 3 * j >= lam1:
-        parts = (t + 3 * j - 1,) + tuple(p - 1 for p in lam.parts)
-        parts = tuple(p for p in parts if p > 0)
-        return IndexedPartition(Partition(parts), j - 1, n), 1
-    ones = lam1 - (t + 3 * j) - 1
-    parts = tuple(p + 1 for p in lam.parts[1:]) + (1,) * ones
-    return IndexedPartition(Partition(parts), j + 1, n), 2
+    parts, j, case = _phi(x.lam.parts, x.j)
+    return IndexedPartition(Partition(parts), j, x.n), case
+
+
+def _psi(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """psi on a partition tuple, with the preconditions of ``psi``."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    rank = _rank(parts)
+    if rank > -3 * k:
+        raise ValueError(f"rank {rank} violates the precondition rank <= {-3 * k}")
+    conj = _conjugate(parts)
+    return (conj[0] + 2 * k - 1,) + conj[1:]
 
 
 def psi(lam: Partition, k: int) -> Partition:
@@ -71,18 +102,11 @@ def psi(lam: Partition, k: int) -> Partition:
     weight lam.weight + 2k - 1 and rank > 3(k-1), landing in the
     complementary rank class one index over.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if lam.rank > -3 * k:
-        raise ValueError(
-            f"rank {lam.rank} violates the precondition rank <= {-3 * k}"
-        )
-    conj = lam.conjugate().parts
-    return Partition((conj[0] + 2 * k - 1,) + conj[1:])
+    return Partition(_psi(lam.parts, k))
 
 
-def _witness(lam: Partition, j: int, check: str) -> dict:
-    return {"partition": list(lam.parts), "j": j, "check": check}
+def _witness(parts: tuple[int, ...], j: int, check: str) -> dict:
+    return {"partition": list(parts), "j": j, "check": check}
 
 
 def verify_phi(n: int) -> CheckReport:
@@ -90,10 +114,12 @@ def verify_phi(n: int) -> CheckReport:
 
     For every index j with gpn(j) <= n and every partition of n - gpn(j):
     the map must round-trip to the identity, flip index parity by one step,
-    keep the weight bookkeeping (enforced by construction and re-reported on
-    failure), and exchange the rank classes rank <= 3j at j with
-    rank > 3(j-1) at j-1. The parity-balanced counting identity across all
-    indices is checked as a corollary.
+    keep the weight bookkeeping (checked on every input, image and
+    pre-image, and reported on failure), and exchange the rank classes
+    rank <= 3j at j with rank > 3(j-1) at j-1. The parity-balanced counting
+    identity across all indices is checked as a corollary. The loop runs on
+    plain tuples; an input that is not a partition of n - gpn(j) raises the
+    ValueError that ``IndexedPartition`` raises.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -101,34 +127,37 @@ def verify_phi(n: int) -> CheckReport:
     indices = [j for j in range(-n, n + 1) if gpn(j) <= n]
     indices.sort()
     for j in indices:
-        for lam in enumerate_partitions(n - gpn(j)):
-            x = IndexedPartition(lam, j, n)
+        for parts in _partition_tuples(n - gpn(j)):
+            _require_indexed(parts, j, n)
             try:
-                y, case = phi(x)
+                image, image_j, case = _phi(parts, j)
+                _require_indexed(image, image_j, n)
             except ValueError as exc:
-                report.add(_witness(lam, j, "apply"), "image", str(exc))
+                report.add(_witness(parts, j, "apply"), "image", str(exc))
                 continue
             expected_j = j - 1 if case == 1 else j + 1
-            if y.j != expected_j:
-                report.add(_witness(lam, j, "index"), expected_j, y.j)
-            if case == 1 and lam.rank > 3 * j:
-                report.add(_witness(lam, j, "case-1-rank"), f"rank <= {3 * j}", lam.rank)
-            if case == 2 and lam.rank <= 3 * j:
-                report.add(_witness(lam, j, "case-2-rank"), f"rank > {3 * j}", lam.rank)
-            if case == 1 and not y.lam.rank > 3 * (j - 1):
-                report.add(_witness(lam, j, "image-rank"), f"> {3 * (j - 1)}", y.lam.rank)
-            if case == 2 and not y.lam.rank <= 3 * (j + 1):
-                report.add(_witness(lam, j, "image-rank"), f"<= {3 * (j + 1)}", y.lam.rank)
+            if image_j != expected_j:
+                report.add(_witness(parts, j, "index"), expected_j, image_j)
+            rank, image_rank = _rank(parts), _rank(image)
+            if case == 1 and rank > 3 * j:
+                report.add(_witness(parts, j, "case-1-rank"), f"rank <= {3 * j}", rank)
+            if case == 2 and rank <= 3 * j:
+                report.add(_witness(parts, j, "case-2-rank"), f"rank > {3 * j}", rank)
+            if case == 1 and not image_rank > 3 * (j - 1):
+                report.add(_witness(parts, j, "image-rank"), f"> {3 * (j - 1)}", image_rank)
+            if case == 2 and not image_rank <= 3 * (j + 1):
+                report.add(_witness(parts, j, "image-rank"), f"<= {3 * (j + 1)}", image_rank)
             try:
-                back, _ = phi(y)
+                back, back_j, _ = _phi(image, image_j)
+                _require_indexed(back, back_j, n)
             except ValueError as exc:
-                report.add(_witness(y.lam, y.j, "apply-back"), "preimage", str(exc))
+                report.add(_witness(image, image_j, "apply-back"), "preimage", str(exc))
                 continue
-            if back != x:
+            if back != parts or back_j != j:
                 report.add(
-                    _witness(lam, j, "involution"),
-                    {"partition": list(lam.parts), "j": j},
-                    {"partition": list(back.lam.parts), "j": back.j},
+                    _witness(parts, j, "involution"),
+                    {"partition": list(parts), "j": j},
+                    {"partition": list(back), "j": back_j},
                 )
     even = sum(p_euler(n - gpn(j)) for j in indices if j % 2 == 0)
     odd = sum(p_euler(n - gpn(j)) for j in indices if j % 2 != 0)
@@ -139,34 +168,46 @@ def verify_phi(n: int) -> CheckReport:
 
 def verify_psi(n: int, k: int) -> CheckReport:
     """Certify injectivity of psi from the low-rank class at index -k into
-    the high-rank class at index k-1, for ambient weight n."""
+    the high-rank class at index k-1, for ambient weight n.
+
+    Both classes are lists of tuples, each checked to be a partition of its
+    class's weight (a failure raises ``ValueError``). An image must be a
+    partition and a member of the target class, which holds exactly the
+    partitions of weight |lam| + 2k - 1 with rank > 3(k-1).
+    """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    source = set_a(1, -k, n)
-    target = set(set_a(2, k - 1, n))
+    source = _rank_class(1, -k, n)
+    target = _rank_class(2, k - 1, n)
+    for parts in source:
+        _require_indexed(parts, -k, n)
+    for parts in target:
+        _require_indexed(parts, k - 1, n)
+    target = set(target)
     report = CheckReport(
         "psi", {"n": n, "k": k, "source_size": len(source), "target_size": len(target)}
     )
-    seen: dict[Partition, Partition] = {}
-    for lam in source:
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for parts in source:
         try:
-            image = psi(lam, k)
+            image = _psi(parts, k)
+            _require_partition(image)
         except ValueError as exc:
-            report.add(_witness(lam, -k, "apply"), "image", str(exc))
+            report.add(_witness(parts, -k, "apply"), "image", str(exc))
             continue
         if image not in target:
             report.add(
-                _witness(lam, -k, "membership"),
+                _witness(parts, -k, "membership"),
                 f"member of rank class > {3 * (k - 1)} at weight {n - gpn(k - 1)}",
-                list(image.parts),
+                list(image),
             )
         if image in seen:
             report.add(
-                _witness(lam, -k, "injectivity"),
-                f"distinct from psi({list(seen[image].parts)})",
-                list(image.parts),
+                _witness(parts, -k, "injectivity"),
+                f"distinct from psi({list(seen[image])})",
+                list(image),
             )
-        seen[image] = lam
+        seen[image] = parts
     return report
 
 

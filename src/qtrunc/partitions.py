@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ge
 from typing import Iterator
 
 from .qseries import IntSeries, _require_window
@@ -27,11 +28,7 @@ class Partition:
     def __post_init__(self):
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        for i, p in enumerate(parts):
-            if p < 1:
-                raise ValueError(f"parts must be positive, got {p}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"parts must be non-increasing, got {parts}")
+        _require_partition(parts)
         object.__setattr__(self, "_weight", sum(parts))
 
     @property
@@ -49,27 +46,73 @@ class Partition:
     @property
     def rank(self) -> int:
         """Largest part minus number of parts; 0 for the empty partition."""
-        return self.largest - self.num_parts
+        return _rank(self.parts)
 
     def conjugate(self) -> Partition:
         """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition(())
-        return Partition(tuple(
-            sum(1 for p in self.parts if p >= i)
-            for i in range(1, self.parts[0] + 1)
-        ))
+        return Partition(_conjugate(self.parts))
 
 
-def _partition_tuples(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    if max_part is None or max_part > n:
-        max_part = n
+def _require_partition(parts: tuple[int, ...]) -> None:
+    """Raise the ValueError that ``Partition(parts)`` raises, if any."""
+    if parts and (parts[-1] < 1 or not all(map(ge, parts, parts[1:]))):
+        for i, p in enumerate(parts):
+            if p < 1:
+                raise ValueError(f"parts must be positive, got {p}")
+            if i and parts[i - 1] < p:
+                raise ValueError(f"parts must be non-increasing, got {parts}")
+
+
+def _rank(parts: tuple[int, ...]) -> int:
+    return parts[0] - len(parts) if parts else 0
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Transpose of a partition tuple, in O(largest part + number of parts)."""
+    conj: list[int] = []
+    below = 0
+    for i in range(len(parts), 0, -1):
+        # every size in (below, parts[i-1]] is met by exactly the first i parts
+        conj += [i] * (parts[i - 1] - below)
+        below = parts[i - 1]
+    return tuple(conj)
+
+
+def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as tuples, in lexicographically decreasing order.
+
+    Algorithm ZS1 (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998)
+    on one list: ``x[:m]`` is the current partition, every entry past
+    index h is 1, and each step rewrites only the tail from h on.
+    """
     if n == 0:
         yield ()
         return
-    for first in range(max_part, 0, -1):
-        for rest in _partition_tuples(n - first, first):
-            yield (first,) + rest
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -118,9 +161,18 @@ def gpn(j: int) -> int:
 def _rank_counts(m: int) -> dict[int, int]:
     counts: dict[int, int] = {}
     for parts in _partition_tuples(m):
-        r = parts[0] - len(parts) if parts else 0
+        r = _rank(parts)
         counts[r] = counts.get(r, 0) + 1
     return counts
+
+
+def _rank_class(variant: int, j: int, n: int) -> list[tuple[int, ...]]:
+    """Partition tuples of n - gpn(j) with rank <= 3j (variant 1) or > 3j."""
+    m = n - gpn(j)
+    if m < 0:
+        return []
+    low = variant == 1
+    return [parts for parts in _partition_tuples(m) if (_rank(parts) <= 3 * j) == low]
 
 
 def set_a(variant: int, j: int, n: int) -> list[Partition]:
@@ -133,14 +185,7 @@ def set_a(variant: int, j: int, n: int) -> list[Partition]:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    m = n - gpn(j)
-    if m < 0:
-        return []
-    result = []
-    for lam in enumerate_partitions(m):
-        if (lam.rank <= 3 * j) == (variant == 1):
-            result.append(lam)
-    return result
+    return [Partition(parts) for parts in _rank_class(variant, j, n)]
 
 
 def set_a_size(variant: int, j: int, n: int) -> int:
