@@ -29,6 +29,19 @@ sparser operand:
 Both kernels give the same exact coefficients; the tests check each
 against a naive list convolution.
 
+The slot width, the pack and the borrowing unpack are private helpers
+(_slot_width, _pack, _unpack), so a caller can also multiply-accumulate in
+packed form: pack each operand once at a width that bounds every
+accumulated coefficient, add the products of their low slots
+(_mul_low_slots), each moved up by its shift, as plain integers, and unpack
+the sum once. wang_yee_rhs forms its inner sums this way. Products of low
+slots carry values above the slots they fill; those land above the unpacked
+window, so only the window's bound matters.
+
+_times_one_minus_list and _div_one_minus_list multiply and divide a plain
+coefficient list by (1 - q^e) in place: the product expansions, the
+IntSeries methods and the dense sums in trunclab all go through them.
+
 Coefficients must be of type int; bool is rejected too, since a bool
 coefficient is almost always a comparison result that leaked in. The public
 constructors check every key and value. Results computed inside this module
@@ -253,8 +266,7 @@ class IntSeries:
         if e < 1:
             raise ValueError(f"exponent must be positive, got {e}")
         out = self.dense()
-        for d in range(self.order, e - 1, -1):
-            out[d] -= out[d - e]
+        _times_one_minus_list(out, e)
         return IntSeries._from_list(out, self.order)
 
     def div_one_minus(self, e: int) -> IntSeries:
@@ -262,9 +274,14 @@ class IntSeries:
         if e < 1:
             raise ValueError(f"exponent must be positive, got {e}")
         out = self.dense()
-        for d in range(e, self.order + 1):
-            out[d] += out[d - e]
+        _div_one_minus_list(out, e)
         return IntSeries._from_list(out, self.order)
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per packed slot for coefficients of absolute value at most
+    bound: the least w with bound < 2^(8w - 1)."""
+    return bound.bit_length() // 8 + 1
 
 
 def _pack(coeffs: list[int], width: int) -> int:
@@ -281,21 +298,52 @@ def _pack(coeffs: list[int], width: int) -> int:
     return value
 
 
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    """The coefficients of slots 0..count-1 of a packed value, each of
+    absolute value below 2^(8 * width - 1). Slots from count on are ignored,
+    whatever they hold."""
+    size = width * count
+    raw = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    slots = [int.from_bytes(raw[i:i + width], "little", signed=True)
+             for i in range(0, size, width)]
+    # a slot read as negative lent 2^(8 * width) to the slot above it
+    return [s + (below < 0) for s, below in zip(slots, [0] + slots)]
+
+
+def _mul_low_slots(a: int, b: int, width: int, count: int, up: int) -> int:
+    """The product of the low count slots of packed a and b, moved up by
+    `up` slots. Below slot up + count this is q^up times the product of a
+    and b cut after q^(count-1); from slot up + count on it holds other
+    values. So a sum of such products, each with up + count at or beyond
+    the end of the unpacked window, unpacks to the sum of the cut, shifted
+    products."""
+    mask = (1 << (8 * width * count)) - 1
+    return ((a & mask) * (b & mask)) << (8 * width * up)
+
+
 def _kronecker_mul(a: list[int], b: list[int], n: int) -> list[int]:
     """Coefficients of q^0..q^n of the product of two nonempty coefficient
     lists, by Kronecker substitution (see the module docstring)."""
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         return [0] * (n + 1)
-    # |each product coefficient| <= bound < 2^(8 * width - 1)
-    width = bound.bit_length() // 8 + 1
-    size = width * (n + 1)
-    low = (_pack(a, width) * _pack(b, width)) & ((1 << (8 * size)) - 1)
-    raw = low.to_bytes(size, "little")
-    slots = [int.from_bytes(raw[i:i + width], "little", signed=True)
-             for i in range(0, size, width)]
-    # a slot read as negative lent 2^(8 * width) to the slot above it
-    return [s + (below < 0) for s, below in zip(slots, [0] + slots)]
+    # |each product coefficient| <= bound, and so is |each coefficient of a
+    # and b|, since neither is all zero
+    width = _slot_width(bound)
+    return _unpack(_pack(a, width) * _pack(b, width), width, n + 1)
+
+
+def _times_one_minus_list(dense: list[int], e: int) -> None:
+    """Multiply a coefficient list by (1 - q^e) in place, to its own length."""
+    # the slice dense[e:] is a copy, so every coefficient reads old values
+    dense[e:] = [x - y for x, y in zip(dense[e:], dense)]
+
+
+def _div_one_minus_list(dense: list[int], e: int) -> None:
+    """Divide a coefficient list by (1 - q^e) in place, to its own length:
+    the one geometric loop behind every division by (1 - q^e)."""
+    for d in range(e, len(dense)):
+        dense[d] += dense[d - e]
 
 
 def _require_window(R: int, S: int) -> None:
@@ -317,8 +365,7 @@ def pochhammer(a: int, step: int, order: int) -> IntSeries:
     dense = [0] * (order + 1)
     dense[0] = 1
     for e in range(a, order + 1, step):
-        for d in range(order, e - 1, -1):
-            dense[d] -= dense[d - e]
+        _times_one_minus_list(dense, e)
     return IntSeries._from_list(dense, order)
 
 
@@ -329,8 +376,7 @@ def triple_product(R: int, S: int, order: int) -> IntSeries:
     dense[0] = 1
     for base in (S, R - S, R):
         for e in range(base, order + 1, R):
-            for d in range(order, e - 1, -1):
-                dense[d] -= dense[d - e]
+            _times_one_minus_list(dense, e)
     return IntSeries._from_list(dense, order)
 
 

@@ -12,12 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterator
 
 from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
 from .qseries import (
     IntSeries,
+    _div_one_minus_list,
+    _mul_low_slots,
+    _pack,
     _require_window,
+    _slot_width,
+    _times_one_minus_list,
+    _unpack,
     bilateral_theta,
     lambert_diff,
     pochhammer,
@@ -49,8 +56,15 @@ def _sign(j: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _triple(R: int, S: int, N: int) -> IntSeries:
+    """The triple product, expanded once per (R, S, N): decomposition's
+    left side and the denominator that _inv_triple inverts."""
+    return triple_product(R, S, N)
+
+
+@lru_cache(maxsize=None)
 def _inv_triple(R: int, S: int, N: int) -> IntSeries:
-    return triple_product(R, S, N).invert()
+    return _triple(R, S, N).invert()
 
 
 @lru_cache(maxsize=None)
@@ -62,6 +76,13 @@ def _euler_cubed(N: int) -> IntSeries:
 @lru_cache(maxsize=None)
 def _inv_euler_cubed(N: int) -> IntSeries:
     return _euler_cubed(N).invert()
+
+
+def _add_shifted(acc: list[int], src: list[int], e: int) -> None:
+    """acc += q^e * src in place, dropping what falls past the end of acc."""
+    if e < len(acc):
+        end = e + len(src)
+        acc[e:end] = map(add, acc[e:end], src)
 
 
 def _diff_degrees(a: IntSeries, b: IntSeries) -> list[int]:
@@ -152,27 +173,34 @@ def am_rhs(k: int, N: int) -> IntSeries:
     terms q^(k(k-1)/2 + (k+1)n) [n-1, k-1] / (q;q)_n over n >= k.
 
     The summation is cut once the minimum exponent of a term exceeds N.
+    Since [n-1, k-1] = (q;q)_(n-1) / ((q;q)_(k-1) (q;q)_(n-k)), each term is
+    q^e / ((q;q)_(k-1) (q;q)_(n-k) (1 - q^n)). The sum is built over plain
+    lists without a product: a running 1/(q;q)_(n-k), one geometric step per
+    term for 1/(1 - q^n), and the common 1/(q;q)_(k-1) applied once to the
+    sum. Each term is cut to the order N - e that survives its shift.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     base = k * (k - 1) // 2
-    acc = IntSeries.zero(N)
-    inv_fact = IntSeries.one(N)
-    fact_level = 0
+    acc = [0] * (N + 1)
+    inv_fact = [1] + [0] * N  # 1/(q;q)_(n-k)
     n = k
     while base + (k + 1) * n <= N:
-        # only degrees up to N - e survive the shift by e, so both factors
-        # are cut there before multiplying; e grows with n, so the running
-        # 1/(q;q)_n can stay cut
+        # e grows with n, so the running 1/(q;q)_(n-k) can stay cut
         e = base + (k + 1) * n
-        inv_fact = inv_fact.truncate(N - e)
-        while fact_level < n:
-            fact_level += 1
-            inv_fact = inv_fact.div_one_minus(fact_level)
-        term = q_binomial(n - 1, k - 1, order=N - e) * inv_fact
-        acc = acc + term.shifted(e)
+        del inv_fact[N - e + 1:]
+        if n > k:
+            _div_one_minus_list(inv_fact, n - k)
+        term = list(inv_fact)
+        _div_one_minus_list(term, n)
+        _add_shifted(acc, term, e)
         n += 1
-    return IntSeries.one(N) + acc.scale(_sign(k - 1))
+    for i in range(1, k):
+        _div_one_minus_list(acc, i)
+    sign = _sign(k - 1)
+    acc = [sign * c for c in acc]
+    acc[0] += 1
+    return IntSeries._from_list(acc, N)
 
 
 def am_check(k: int, N: int) -> CheckReport:
@@ -361,17 +389,19 @@ def _product_sum_f(R: int, A: int, N: int) -> IntSeries:
     q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n)."""
     if A < 1:
         raise ValueError(f"base exponent must be positive, got {A}")
-    acc = IntSeries.zero(N)
-    term = IntSeries.one(N)
+    acc = [0] * (N + 1)
+    # the n-th term divided by q^(Rn), kept to the N - Rn + 1 coefficients
+    # that survive the shift
+    term = [1] + [0] * N
     n = 0
     while R * n <= N:
         if n > 0:
-            term = (term.shifted(R).truncate(N)
-                    .div_one_minus(R * n)
-                    .div_one_minus(A + R * (n - 1)))
-        acc = acc + term
+            del term[N - R * n + 1:]
+            _div_one_minus_list(term, R * n)
+            _div_one_minus_list(term, A + R * (n - 1))
+        _add_shifted(acc, term, R * n)
         n += 1
-    return acc * pochhammer(R, R, N) * pochhammer(A, R, N)
+    return IntSeries._from_list(acc, N) * pochhammer(R, R, N) * pochhammer(A, R, N)
 
 
 def f_series(P: TruncParams) -> IntSeries:
@@ -437,20 +467,24 @@ def i_series(idx: int, P: TruncParams) -> IntSeries:
 def _mao_double_sum(R: int, A: int, N: int) -> IntSeries:
     """(q^A, q^R; q^R)_inf times the double sum over n, m >= 0 of
     q^(R(2n+m)) / ((q^A; q^R)_n (q^R; q^R)_n (1 - q^(A + R(n+m))))."""
-    acc = IntSeries.zero(N)
-    base = IntSeries.one(N)
+    acc = [0] * (N + 1)
+    # the n-th base term divided by q^(2Rn), cut as in _product_sum_f
+    base = [1] + [0] * N
     n = 0
     while 2 * R * n <= N:
         if n > 0:
-            base = (base.shifted(2 * R).truncate(N)
-                    .div_one_minus(R * n)
-                    .div_one_minus(A + R * (n - 1)))
+            del base[N - 2 * R * n + 1:]
+            _div_one_minus_list(base, R * n)
+            _div_one_minus_list(base, A + R * (n - 1))
         m = 0
         while 2 * R * n + R * m <= N:
-            acc = acc + base.shifted(R * m).truncate(N).div_one_minus(A + R * (n + m))
+            shift = 2 * R * n + R * m
+            term = base[:N - shift + 1]
+            _div_one_minus_list(term, A + R * (n + m))
+            _add_shifted(acc, term, shift)
             m += 1
         n += 1
-    return acc * pochhammer(A, R, N) * pochhammer(R, R, N)
+    return IntSeries._from_list(acc, N) * pochhammer(A, R, N) * pochhammer(R, R, N)
 
 
 def i_series_closed(idx: int, P: TruncParams) -> IntSeries:
@@ -494,7 +528,7 @@ def decomposition_check(P: TruncParams) -> CheckReport:
         report.add({"check": "prefactor-integrality"}, "even numerator", numerator)
         return report
     shift = numerator // 2
-    lhs = (triple_product(R, S, N) * d_series(P)).scale(_sign(k - 1))
+    lhs = (_triple(R, S, N) * d_series(P)).scale(_sign(k - 1))
     combo = (i_series(1, P).scale(k - 1) + i_series(2, P).scale(k)
              + i_series(3, P) + i_series(4, P))
     rhs = combo.shifted(shift)
@@ -549,13 +583,25 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     ((q^R;q^R)_i (q^R;q^R)_j (q^R;q^R)_h (q^R;q^R)_k) * [n-1, m-1] in q^R,
     cut once the minimal exponent R m(m-1)/2 + n(R-S) exceeds N.
 
-    The quadruple sum is grouped into two pair sums, pair_g over (i, j) and
-    pair_h over (h, k), whose products are then convolved over n. Every pair
-    term needs pair(lo, hi) = 1/((q^R;q^R)_lo (q^R;q^R)_hi). These are built
-    without multiplying: pair(0, hi) = 1/(q^R;q^R)_hi, and each step along a
-    row is one geometric factor, pair(lo, hi) = pair(lo - 1, hi) / (1 - q^(R lo)).
-    Each product and each shifted term is cut to the order that survives its
-    shift before it is formed, so no coefficient past order N is computed.
+    The quadruple sum is grouped into two pair sums, pair_g[s] over i + j = s
+    and pair_h[s] over h + k = s, whose products are then convolved over n.
+    Every pair term needs pair(x, y) = 1/((q^R;q^R)_x (q^R;q^R)_y). These are
+    streamed one anti-diagonal x + y = s at a time, without multiplying:
+    pair(x, s - x) = pair(x, s - 1 - x) / (1 - q^(R(s - x))) is one geometric
+    step from the diagonal before, and pair is symmetric, so only x <= s/2 is
+    kept. Live memory is one diagonal, O(nmax * W) coefficients, not the
+    O(nmax^2 * W) of the whole pair table. Each pair term goes straight into
+    the dense pair_g[s] and pair_h[s] at its shift.
+
+    The inner sums over t of q^(nR - tS) pair_g[n-t] pair_h[t] are formed in
+    packed integers: every pair_g[s] and pair_h[s] is packed once, at one
+    slot width that holds any inner-sum coefficient, and for each n the
+    products of their low slots are added as integers, each moved up by its
+    shift, then unpacked once. The Gaussian binomial is applied as
+    [n-1, m-1] = prod_{i<m} (1 - q^(R(n-i))) / (1 - q^(Ri)): the numerator
+    factors on each inner sum, the denominator once on the total. Each
+    product and each shifted term is cut to the order that survives its
+    shift, so no coefficient past order N is computed.
     """
     _require_half_window(R, S)
     if m < 1:
@@ -567,46 +613,64 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
         return IntSeries.one(N)
     W = N - monomial
     nmax = W // (R - S)
-    invp = [IntSeries.one(W)]
-    for i in range(1, nmax + 1):
-        invp.append(invp[i - 1].div_one_minus(R * i))
-    # pairs[lo, hi] for lo <= hi and lo + hi <= nmax, one row per hi
-    pairs: dict[tuple[int, int], IntSeries] = {}
-    for hi in range(nmax + 1):
-        p = pairs[0, hi] = invp[hi]
-        for lo in range(1, min(hi, nmax - hi) + 1):
-            p = pairs[lo, hi] = p.div_one_minus(R * lo)
-
-    def pair(a: int, b: int) -> IntSeries:
-        return pairs[a, b] if a <= b else pairs[b, a]
-
+    # pair_g[u] enters the inner sums at shifts e >= uR and pair_h[t] at
+    # e >= t(R - S); each is kept to the W - e + 1 coefficients that survive
     pair_g = []
     pair_h = []
+    diagonal = [[1] + [0] * W]  # diagonal[x] = pair(x, s - x) for x <= s/2
     for s in range(nmax + 1):
-        g = IntSeries.zero(W)
-        h = IntSeries.zero(W)
+        if s:
+            if s % 2 == 0:
+                # pair(s/2, s/2) = pair(s/2 - 1, s/2) / (1 - q^(R s/2))
+                diagonal.append(list(diagonal[-1]))
+            for x, p in enumerate(diagonal):
+                # pair(x, s - x) reaches the inner sums at q^(sR + mxR) or
+                # higher through pair_g[s], and at q^(s(R-S) + x(s-x)R + 2xS)
+                # or higher through pair_h[s]; later diagonals reach higher
+                reach = min(s * R + m * x * R, s * (R - S) + x * (s - x) * R + 2 * x * S)
+                del p[W - reach + 1:]
+                _div_one_minus_list(p, R * (s - x))
+        # pair(a, s - a) = pair(s - a, a) = diagonal[min(a, s - a)]
+        if s * R <= W:
+            g = [0] * (W - s * R + 1)
+            for a in range(s + 1):
+                _add_shifted(g, diagonal[min(a, s - a)], m * a * R)
+            pair_g.append(g)
+        h = [0] * (W - s * (R - S) + 1)
         for a in range(s + 1):
-            e = m * a * R
-            if e <= W:
-                g = g + pair(s - a, a).truncate(W - e).shifted(e)
-            e = a * (s - a) * R + 2 * a * S
-            if e <= W:
-                h = h + pair(a, s - a).truncate(W - e).shifted(e)
-        pair_g.append(g)
+            _add_shifted(h, diagonal[min(a, s - a)], a * (s - a) * R + 2 * a * S)
         pair_h.append(h)
-    total = IntSeries.zero(W)
+    # |every inner-sum coefficient| <= bound: at most nmax + 1 products,
+    # each coefficient a sum of at most W + 1 terms. pair_g[0] and pair_h[0]
+    # start with 1, so the bound also holds every pair coefficient.
+    bound = (max(max(map(abs, g)) for g in pair_g)
+             * max(max(map(abs, h)) for h in pair_h) * (W + 1) * (nmax + 1))
+    width = _slot_width(bound)
+    packed_g = [_pack(g, width) for g in pair_g]
+    packed_h = [_pack(h, width) for h in pair_h]
+    total = [0] * (W + 1)
     for n in range(m, nmax + 1):
         # every shift e below is at least low = n(R - S), so the inner sum
-        # is built divided by q^low and multiplied at order W - low
+        # is built divided by q^low, to order W - low
         low = n * (R - S)
-        inner = IntSeries.zero(W - low)
+        packed = 0
         for t in range(n + 1):
             e = n * R - t * S
             if e <= W:
-                inner = inner + (pair_g[n - t].truncate(W - e)
-                                 * pair_h[t].truncate(W - e)).shifted(e - low)
-        total = total + (inner * q_binomial(n - 1, m - 1, R, order=W - low)).shifted(low)
-    return IntSeries.one(N) + total.scale(_sign(m - 1)).shifted(monomial)
+                packed += _mul_low_slots(packed_g[n - t], packed_h[t], width,
+                                         W - e + 1, e - low)
+        inner = _unpack(packed, width, W - low + 1)
+        # times the numerator of [n-1, m-1] in q^R
+        for i in range(1, m):
+            _times_one_minus_list(inner, R * (n - i))
+        _add_shifted(total, inner, low)
+    # the denominator of [n-1, m-1] in q^R, common to every n
+    for i in range(1, m):
+        _div_one_minus_list(total, R * i)
+    sign = _sign(m - 1)
+    out = [0] * monomial + [sign * c for c in total]
+    out[0] += 1
+    return IntSeries._from_list(out, N)
 
 
 def wang_yee_check(R: int, S: int, m: int, N: int) -> CheckReport:

@@ -1,0 +1,207 @@
+"""The dense-scratch forms of the identity suites against their IntSeries forms.
+
+wang_yee_rhs, _product_sum_f, _mao_double_sum and am_rhs sum into plain int
+lists, and wang_yee_rhs forms its inner sums as packed integers. The
+functions below are the same constructions written as chains of IntSeries
+operations, kept as the reference: every result must be equal, coefficient
+for coefficient and in its order. The timing-free gates count the work the
+dense forms do at fixed points.
+"""
+
+from qtrunc import trunclab
+from qtrunc.qseries import IntSeries, pochhammer
+from qtrunc.trunclab import (
+    TruncParams,
+    _mao_double_sum,
+    _product_sum_f,
+    am_rhs,
+    decomposition_check,
+    mao_check,
+    q_binomial,
+    wang_yee_check,
+    wang_yee_rhs,
+)
+
+
+def series_wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
+    """wang_yee_rhs with the whole pair table kept and every sum an
+    IntSeries sum of cut, shifted products."""
+    monomial = R * m * (m - 1) // 2
+    if monomial > N:
+        return IntSeries.one(N)
+    W = N - monomial
+    nmax = W // (R - S)
+    invp = [IntSeries.one(W)]
+    for i in range(1, nmax + 1):
+        invp.append(invp[i - 1].div_one_minus(R * i))
+    pairs = {}
+    for hi in range(nmax + 1):
+        p = pairs[0, hi] = invp[hi]
+        for lo in range(1, min(hi, nmax - hi) + 1):
+            p = pairs[lo, hi] = p.div_one_minus(R * lo)
+
+    def pair(a, b):
+        return pairs[a, b] if a <= b else pairs[b, a]
+
+    pair_g = []
+    pair_h = []
+    for s in range(nmax + 1):
+        g = IntSeries.zero(W)
+        h = IntSeries.zero(W)
+        for a in range(s + 1):
+            e = m * a * R
+            if e <= W:
+                g = g + pair(s - a, a).truncate(W - e).shifted(e)
+            e = a * (s - a) * R + 2 * a * S
+            if e <= W:
+                h = h + pair(a, s - a).truncate(W - e).shifted(e)
+        pair_g.append(g)
+        pair_h.append(h)
+    total = IntSeries.zero(W)
+    for n in range(m, nmax + 1):
+        low = n * (R - S)
+        inner = IntSeries.zero(W - low)
+        for t in range(n + 1):
+            e = n * R - t * S
+            if e <= W:
+                inner = inner + (pair_g[n - t].truncate(W - e)
+                                 * pair_h[t].truncate(W - e)).shifted(e - low)
+        total = total + (inner * q_binomial(n - 1, m - 1, R, order=W - low)).shifted(low)
+    sign = 1 if m % 2 == 1 else -1
+    return IntSeries.one(N) + total.scale(sign).shifted(monomial)
+
+
+def series_product_sum_f(R: int, A: int, N: int) -> IntSeries:
+    acc = IntSeries.zero(N)
+    term = IntSeries.one(N)
+    n = 0
+    while R * n <= N:
+        if n > 0:
+            term = (term.shifted(R).truncate(N)
+                    .div_one_minus(R * n)
+                    .div_one_minus(A + R * (n - 1)))
+        acc = acc + term
+        n += 1
+    return acc * pochhammer(R, R, N) * pochhammer(A, R, N)
+
+
+def series_mao_double_sum(R: int, A: int, N: int) -> IntSeries:
+    acc = IntSeries.zero(N)
+    base = IntSeries.one(N)
+    n = 0
+    while 2 * R * n <= N:
+        if n > 0:
+            base = (base.shifted(2 * R).truncate(N)
+                    .div_one_minus(R * n)
+                    .div_one_minus(A + R * (n - 1)))
+        m = 0
+        while 2 * R * n + R * m <= N:
+            acc = acc + base.shifted(R * m).truncate(N).div_one_minus(A + R * (n + m))
+            m += 1
+        n += 1
+    return acc * pochhammer(A, R, N) * pochhammer(R, R, N)
+
+
+def series_am_rhs(k: int, N: int) -> IntSeries:
+    base = k * (k - 1) // 2
+    acc = IntSeries.zero(N)
+    inv_fact = IntSeries.one(N)
+    fact_level = 0
+    n = k
+    while base + (k + 1) * n <= N:
+        e = base + (k + 1) * n
+        inv_fact = inv_fact.truncate(N - e)
+        while fact_level < n:
+            fact_level += 1
+            inv_fact = inv_fact.div_one_minus(fact_level)
+        term = q_binomial(n - 1, k - 1, order=N - e) * inv_fact
+        acc = acc + term.shifted(e)
+        n += 1
+    return IntSeries.one(N) + acc.scale(1 if k % 2 == 1 else -1)
+
+
+def test_wang_yee_rhs_matches_series_form():
+    # the benchmark's two points, then small orders over both windows
+    for args in [(3, 1, 1, 150), (3, 1, 2, 153)]:
+        assert wang_yee_rhs(*args) == series_wang_yee_rhs(*args), args
+    for R, S, m in [(3, 1, 1), (3, 1, 2), (4, 2, 1), (5, 2, 3), (6, 3, 2)]:
+        for N in (0, 5, 31, 45):
+            assert wang_yee_rhs(R, S, m, N) == series_wang_yee_rhs(R, S, m, N), \
+                (R, S, m, N)
+
+
+def test_product_sum_f_matches_series_form():
+    # every base exponent 5k -+ S of mao at R = 5, S = 1..4, k = 1..4
+    bases = sorted({5 * k + sign * S for S in range(1, 5) for k in range(1, 5)
+                    for sign in (-1, 1)})
+    for A in bases:
+        assert _product_sum_f(5, A, 500) == series_product_sum_f(5, A, 500), A
+
+
+def test_mao_double_sum_matches_series_form():
+    for R, A in [(5, 3), (5, 7), (3, 2), (4, 9)]:
+        for N in (0, 7, 150):
+            assert _mao_double_sum(R, A, N) == series_mao_double_sum(R, A, N), (R, A, N)
+
+
+def test_am_rhs_matches_series_form():
+    for k in range(1, 5):
+        assert am_rhs(k, 300) == series_am_rhs(k, 300), k
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_wang_yee_packed_product_gate(monkeypatch):
+    """Timing-free gate: the packed products of wang-yee's inner sums at a
+    fixed point, and one pack per pair series that reaches order N: pair_g[u]
+    for uR <= N, pair_h[t] for t(R - S) <= N."""
+    products = _count_calls(monkeypatch, trunclab, "_mul_low_slots")
+    packs = _count_calls(monkeypatch, trunclab, "_pack")
+    assert wang_yee_check(3, 1, 1, 60).passed
+    assert len(products) <= 330
+    assert len(packs) == (60 // 3 + 1) + (60 // 2 + 1)
+
+
+def test_mao_series_objects_do_not_grow_with_order(monkeypatch):
+    """Timing-free gate: mao_check builds a fixed number of IntSeries,
+    whatever N / R, because its sums run over dense scratch lists."""
+    built = []
+    init = IntSeries.__init__
+    make = IntSeries._make
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counting_make(cls, *args):
+        built.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(IntSeries, "__init__", counting_init)
+    monkeypatch.setattr(IntSeries, "_make", classmethod(counting_make))
+    counts = []
+    for N in (120, 480):
+        built.clear()
+        assert mao_check(TruncParams(5, 2, 1, N)).passed
+        counts.append(len(built))
+    assert counts[0] <= 16
+    assert counts[1] == counts[0]
+
+
+def test_decomposition_expands_its_triple_product_once(monkeypatch):
+    trunclab._triple.cache_clear()
+    trunclab._inv_triple.cache_clear()
+    calls = _count_calls(monkeypatch, trunclab, "triple_product")
+    for k in range(1, 7):
+        assert decomposition_check(TruncParams(5, 2, k, 600)).passed, k
+    assert len(calls) == 1

@@ -149,6 +149,35 @@ def test_kronecker_kernel_matches_naive_convolution(xs, ys):
     assert (a * b) == (b * a)
 
 
+@given(st.lists(st.tuples(wide_coeff_lists, wide_coeff_lists,
+                          st.integers(min_value=0, max_value=20)),
+                min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=60))
+@settings(max_examples=200, deadline=None)
+@example([([0] * 5, [2 ** 300] * 5, 0), ([1], [-1], 3)], 8)
+@example([([-(2 ** 200) + 1], [2 ** 200 - 1], 0)], 1)
+def test_packed_multiply_accumulate_matches_naive_convolution(products, count):
+    """Pack, sum several shifted products of low slots, unpack once: the
+    inner-sum route of wang_yee_rhs. Each product xs * ys is cut to the
+    slots that stay below count after its shift."""
+    expected = [0] * count
+    bound = 1
+    for xs, ys, up in products:
+        if up < count:
+            for d, c in enumerate(naive_mul(xs, ys, count - up - 1)):
+                expected[d + up] += c
+        bound = max(bound, max(map(abs, xs)), max(map(abs, ys)))
+    # |every accumulated coefficient| <= bound^2 * (terms per product) * products
+    bound = bound * bound * 3 * qseries._SCHOOLBOOK_MAX_TERMS * len(products)
+    width = qseries._slot_width(bound)
+    acc = 0
+    for xs, ys, up in products:
+        if up < count:
+            acc += qseries._mul_low_slots(qseries._pack(xs, width), qseries._pack(ys, width),
+                                          width, count - up, up)
+    assert qseries._unpack(acc, width, count) == expected
+
+
 def test_mul_switches_kernel_above_crossover(monkeypatch):
     calls = []
     kernel = qseries._kronecker_mul
@@ -302,6 +331,19 @@ def test_triple_product_is_product_of_three_pochhammers():
         expected = (pochhammer(S, R, 30) * pochhammer(R - S, R, 30)
                     * pochhammer(R, R, 30))
         assert triple_product(R, S, 30) == expected
+
+
+def test_triple_product_matches_naive_factor_product():
+    # R = 2S puts the factors with exponents S and R - S on the same terms
+    for R, S in [(2, 1), (4, 2), (6, 3), (3, 1), (5, 2), (7, 3), (8, 1)]:
+        for order in (0, 1, 13, 61):
+            expected = [1] + [0] * order
+            for base in (S, R - S, R):
+                for e in range(base, order + 1, R):
+                    factor = [1] + [0] * order
+                    factor[e] = -1
+                    expected = naive_mul(expected, factor, order)
+            assert triple_product(R, S, order).dense() == expected, (R, S, order)
 
 
 def test_triple_product_frozen_values():
