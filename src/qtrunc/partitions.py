@@ -3,9 +3,14 @@
 Provides exhaustive enumeration, the sparse pentagonal recurrence for p(n),
 Dyson's rank, conjugation, generalized pentagonal numbers, the rank-filtered
 sets behind the truncated pentagonal inequalities, the sieve count M_k(n),
-and divisor-class counts. Everything here is deliberately brute-force where
-a formula exists elsewhere in the package: these functions are the
-independent side of every cross-check.
+and divisor-class counts.
+
+Rank-class sizes are read from a table of N(r, m) built from the
+Durfee-square series, in polynomial time and without enumeration, theta
+functions or p(n). What is still brute force is what visits partitions:
+the enumeration itself, the classes ``set_a`` lists, the sieve count
+``m_k``, and the source class of ``verify_psi``. These are the independent
+side of the cross-checks they appear in.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import ge
+from operator import add, ge
 from typing import Iterator
 
 from .qseries import IntSeries, _require_window
@@ -157,13 +162,64 @@ def gpn(j: int) -> int:
     return j * (3 * j + 1) // 2
 
 
-@lru_cache(maxsize=None)
-def _rank_counts(m: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for parts in _partition_tuples(m):
-        r = _rank(parts)
-        counts[r] = counts.get(r, 0) + 1
-    return counts
+# Rank table: _rtable[m][r + m] = N(r, m), the number of partitions of m
+# with rank r, for every m < len(_rtable). It is only ever replaced by a
+# complete, larger table, so a reader takes one reference and needs no lock;
+# builders take the lock.
+_rtable: list[list[int]] = [[1]]
+_rtable_lock = threading.Lock()
+
+
+def _rank_table(M: int) -> list[list[int]]:
+    """Rows ``table[m][r + m] = N(r, m)`` for at least every m <= M.
+
+    The table grows to max(M, twice its current reach), so a sweep over
+    rising weights rebuilds it O(log M) times rather than at every weight.
+    """
+    global _rtable
+    table = _rtable
+    if len(table) <= M:
+        with _rtable_lock:
+            if len(_rtable) <= M:
+                _rtable = _durfee_ranks(max(M, 2 * (len(_rtable) - 1)))
+            table = _rtable
+    return table
+
+
+def _durfee_ranks(M: int) -> list[list[int]]:
+    """N(r, m) for every m <= M from the Durfee-square form of the rank
+    generating function, sum over d >= 0 of q^(d^2) / ((zq;q)_d (z^-1 q;q)_d)
+    (Dyson, Eureka 8, 1944; Garvan, Trans. AMS 305, 1988).
+
+    A partition with Durfee square d has an arm right of the square (at most
+    d parts) and a leg below it (parts at most d); its rank is the arm's
+    largest part minus the leg's number of parts. ``term[w][r + w]``
+    holds the z^r q^w coefficient of 1/((zq;q)_d (z^-1 q;q)_d): each d
+    divides it by (1 - zq^d) and by (1 - z^-1 q^d) in place, one geometric
+    step on whole rows each, then adds it at shift d^2. Rows above M - d^2
+    can no longer reach the result and are dropped. O(M^2.5) additions, no
+    enumeration and no theta function.
+    """
+    out = [[0] * (2 * m + 1) for m in range(M + 1)]
+    term = [[0] * (2 * w + 1) for w in range(M + 1)]
+    term[0][0] = 1
+    d = 0
+    while d * d <= M:
+        s = d * d
+        del term[M - s + 1:]
+        if d:
+            # 1/(1 - zq^d): row w gains row w - d with r moved up by one;
+            # then 1/(1 - z^-1 q^d): the same with r moved down by one.
+            for lo in (d + 1, d - 1):
+                for w in range(d, len(term)):
+                    src, row = term[w - d], term[w]
+                    hi = lo + len(src)
+                    row[lo:hi] = map(add, row[lo:hi], src)
+        for w, row in enumerate(term):
+            dst = out[w + s]
+            dst[s:s + len(row)] = map(add, dst[s:s + len(row)], row)
+        d += 1
+    return out
 
 
 def _rank_class(variant: int, j: int, n: int) -> list[tuple[int, ...]]:
@@ -197,10 +253,9 @@ def set_a_size(variant: int, j: int, n: int) -> int:
     m = n - gpn(j)
     if m < 0:
         return 0
-    counts = _rank_counts(m)
-    if variant == 1:
-        return sum(c for r, c in counts.items() if r <= 3 * j)
-    return sum(c for r, c in counts.items() if r > 3 * j)
+    row = _rank_table(m)[m]
+    cut = max(0, 3 * j + m + 1)  # row[:cut] holds the ranks <= 3j
+    return sum(row[:cut]) if variant == 1 else sum(row[cut:])
 
 
 def m_k(k: int, n: int) -> int:
@@ -210,18 +265,28 @@ def m_k(k: int, n: int) -> int:
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    count = 0
+    counts = _m_k_counts(n)
+    return counts[k] if k < len(counts) else 0
+
+
+@lru_cache(maxsize=None)
+def _m_k_counts(n: int) -> tuple[int, ...]:
+    """``m_k(k, n)`` at index k for every k, from one walk over the
+    partitions of n: a partition's least absent part fixes its k."""
+    counts = [0]
     for parts in _partition_tuples(n):
-        present = set(parts)
-        if k in present:
-            continue
-        if any(i not in present for i in range(1, k)):
-            continue
-        above = sum(1 for p in parts if p > k)
-        below = sum(1 for p in parts if p < k)
-        if above > below:
-            count += 1
-    return count
+        # the smallest parts sit at the end: walk up to the first gap
+        k = below = 0
+        for p in reversed(parts):
+            if p > k + 1:
+                break
+            k = p
+            below += 1
+        k += 1
+        if len(parts) > 2 * below:
+            counts += [0] * (k + 1 - len(counts))
+            counts[k] += 1
+    return tuple(counts)
 
 
 def divisor_diff(n: int, R: int, S: int) -> int:

@@ -70,7 +70,8 @@ def test_criterion_2_worked_example_weight_15():
 
 def test_criterion_3_rank_class_counting_identity():
     """Counting identity and dominance |class2(k-1)| >= |class1(-k)| for
-    all 1 <= n <= 40, 1 <= k <= 5, by exhaustive enumeration."""
+    all 1 <= n <= 40, 1 <= k <= 5, with the class sizes counted by the
+    Durfee-square rank table."""
     for n in range(1, 41):
         for k in range(1, 6):
             report = theorem12_check(n, k)

@@ -235,14 +235,49 @@ def test_verify_psi_precondition_message(monkeypatch):
 @pytest.mark.parametrize("variant, extra, j", [
     (1, (1, 2, 1, 1, 1, 1, 1, 1, 1), None),
     (1, (2, 2, 2), -2),
-    (2, (4, 10), None),
-    (2, (12,), 1),
 ])
 def test_verify_psi_rejects_malformed_class_member(monkeypatch, variant, extra, j):
     _rig_class(monkeypatch, variant, extra)
     with pytest.raises(ValueError) as exc:
         verify_psi(15, 2)
     assert str(exc.value) == constructor_error(extra, j, None if j is None else 15)
+
+
+# The target class is not built, so each image is checked on its own: a
+# non-partition is an apply violation with the constructor's message; a
+# wrong weight, or a rank on the boundary 3(k-1) = 3, is not a member.
+@pytest.mark.parametrize("image, check", [
+    ((4, 10), "apply"),
+    ((12,), "membership"),
+    ((8, 2, 1, 1, 1), "membership"),
+])
+def test_verify_psi_checks_each_image(monkeypatch, image, check):
+    ones = (1,) * 10
+    _rig_psi(monkeypatch, {ones: image})
+    report = verify_psi(15, 2)
+    if check == "apply":
+        expected, actual = "image", constructor_error(image)
+        assert actual == "parts must be non-increasing, got (4, 10)"
+    else:
+        expected, actual = "member of rank class > 3 at weight 13", list(image)
+    assert report.params["target_size"] == 21
+    assert report.to_dict()["violations"] == [{
+        "witness": {"partition": list(ones), "j": -2, "check": check},
+        "expected": expected,
+        "actual": actual,
+    }]
+
+
+def test_verify_psi_enumerates_only_the_source_class(monkeypatch):
+    calls = []
+    real = bijections._rank_class
+
+    def recording(variant, j, n):
+        calls.append((variant, j, n))
+        return real(variant, j, n)
+    monkeypatch.setattr(bijections, "_rank_class", recording)
+    assert verify_psi(15, 2).passed
+    assert calls == [(1, -2, 15)]
 
 
 def test_verifiers_build_no_partition_objects(monkeypatch):
