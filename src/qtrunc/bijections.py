@@ -54,20 +54,27 @@ def _require_indexed(parts: tuple[int, ...], j: int, n: int) -> None:
     _require_weight(sum(parts), j, n)
 
 
+def _phi_case(parts: tuple[int, ...], j: int) -> int:
+    """Which case of the involution fires on (parts, j): 1 when
+    t + 3j >= largest part, that is rank <= 3j, else 2. The empty partition
+    is case 1 for j >= 1 and case 2 for j <= -1; (empty, 0) has no case."""
+    if parts:
+        return 1 if len(parts) + 3 * j >= parts[0] else 2
+    if j == 0:
+        raise ValueError("the involution is undefined on (empty, j=0)")
+    return 1 if j > 0 else 2
+
+
 def _phi(parts: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int, int]:
     """The involution on a partition tuple: (image parts, image index, case)."""
     t = len(parts)
-    if t == 0:
-        if j == 0:
-            raise ValueError("the involution is undefined on (empty, j=0)")
-        if j >= 1:
-            return (3 * j - 1,), j - 1, 1
-        return (1,) * (-3 * j - 2), j + 1, 2
-    head = t + 3 * j - 1
-    if head >= parts[0] - 1:
-        rest = tuple(p - 1 for p in parts if p > 1)
+    if _phi_case(parts, j) == 1:
+        head = t + 3 * j - 1
+        rest = tuple([p - 1 for p in parts if p > 1])
         return ((head,) + rest if head else rest), j - 1, 1
-    return tuple(p + 1 for p in parts[1:]) + (1,) * (parts[0] - head - 2), j + 1, 2
+    if not parts:
+        return (1,) * (-3 * j - 2), j + 1, 2
+    return tuple([p + 1 for p in parts[1:]]) + (1,) * (parts[0] - t - 3 * j - 1), j + 1, 2
 
 
 def phi(x: IndexedPartition) -> tuple[IndexedPartition, int]:
@@ -120,12 +127,75 @@ def verify_phi(n: int) -> CheckReport:
     identity across all indices is checked as a corollary. The loop runs on
     plain tuples; an input that is not a partition of n - gpn(j) raises the
     ValueError that ``IndexedPartition`` raises.
+
+    The domain splits into orbits {x, phi(x)} of one case-1 and one case-2
+    member, and ``_phi_orbits`` certifies each orbit once, from its case-1
+    member x at j: every check above on x, and the round trip, whose second
+    application is the map of the case-2 member phi(x) at j-1. Case-2
+    elements get only the input check and the case test. Counting shows
+    that the partners are all the case-2 elements: at each j the
+    enumeration yields p(n - gpn(j)) strictly decreasing partitions of
+    n - gpn(j), so all of them, and #case 2 at j equals #case 1 at j+1,
+    which the round trip maps injectively into case 2 at j. Each element
+    is thus mapped once, and nothing is stored. Only when that pass fails
+    does the per-element reporter ``_phi_report`` run, so a failing report
+    and a raised ValueError are the reporter's.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    report = CheckReport("phi", {"n": n})
     indices = [j for j in range(-n, n + 1) if gpn(j) <= n]
     indices.sort()
+    if _phi_orbits(n, indices):
+        report = CheckReport("phi", {"n": n})
+    else:
+        report = _phi_report(n, indices)
+    even = sum(p_euler(n - gpn(j)) for j in indices if j % 2 == 0)
+    odd = sum(p_euler(n - gpn(j)) for j in indices if j % 2 != 0)
+    if even != odd:
+        report.add({"n": n, "check": "parity-count"}, even, odd)
+    return report
+
+
+def _phi_orbits(n: int, indices: list[int]) -> bool:
+    """True when every orbit of the involution at weight n passes, visited
+    from its case-1 member; False at the first failed test of any kind."""
+    case1: dict[int, int] = {}
+    case2: dict[int, int] = {}
+    try:
+        for j in indices:
+            m = n - gpn(j)
+            prev = (m + 1,)  # above every partition of m
+            count = count1 = 0
+            for parts in _partition_tuples(m):
+                _require_indexed(parts, j, n)
+                if not parts < prev:
+                    return False
+                prev = parts
+                count += 1
+                if _phi_case(parts, j) == 2:
+                    continue
+                count1 += 1
+                image, image_j, case = _phi(parts, j)
+                if case != 1 or image_j != j - 1:
+                    return False
+                _require_indexed(image, image_j, n)
+                if _rank(parts) > 3 * j or _rank(image) <= 3 * (j - 1):
+                    return False
+                back, back_j, back_case = _phi(image, image_j)
+                if back_case != 2 or back_j != j or back != parts:
+                    return False
+            if count != p_euler(m):
+                return False
+            case1[j], case2[j] = count1, count - count1
+    except ValueError:
+        return False
+    return all(case2[j] == case1.get(j + 1, 0) for j in indices)
+
+
+def _phi_report(n: int, indices: list[int]) -> CheckReport:
+    """Map every element of the domain and report each failed check; the
+    oracle and the failure path of ``verify_phi``."""
+    report = CheckReport("phi", {"n": n})
     for j in indices:
         for parts in _partition_tuples(n - gpn(j)):
             _require_indexed(parts, j, n)
@@ -159,10 +229,6 @@ def verify_phi(n: int) -> CheckReport:
                     {"partition": list(parts), "j": j},
                     {"partition": list(back), "j": back_j},
                 )
-    even = sum(p_euler(n - gpn(j)) for j in indices if j % 2 == 0)
-    odd = sum(p_euler(n - gpn(j)) for j in indices if j % 2 != 0)
-    if even != odd:
-        report.add({"n": n, "check": "parity-count"}, even, odd)
     return report
 
 

@@ -16,6 +16,7 @@ side of the cross-checks they appear in.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, ge
@@ -73,14 +74,10 @@ def _rank(parts: tuple[int, ...]) -> int:
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Transpose of a partition tuple, in O(largest part + number of parts)."""
-    conj: list[int] = []
-    below = 0
-    for i in range(len(parts), 0, -1):
-        # every size in (below, parts[i-1]] is met by exactly the first i parts
-        conj += [i] * (parts[i - 1] - below)
-        below = parts[i - 1]
-    return tuple(conj)
+    """Transpose of a partition tuple: its part i (from 0) counts the parts
+    above i, found by binary search in the parts reversed to ascending."""
+    rev, t = parts[::-1], len(parts)
+    return tuple([t - bisect_right(rev, i) for i in range(parts[0] if parts else 0)])
 
 
 def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -227,8 +224,11 @@ def _rank_class(variant: int, j: int, n: int) -> list[tuple[int, ...]]:
     m = n - gpn(j)
     if m < 0:
         return []
-    low = variant == 1
-    return [parts for parts in _partition_tuples(m) if (_rank(parts) <= 3 * j) == low]
+    low, cut = variant == 1, 3 * j
+    if m == 0:
+        return [()] if (0 <= cut) == low else []
+    # a partition of m > 0 is nonempty, so its rank is parts[0] - len(parts)
+    return [parts for parts in _partition_tuples(m) if (parts[0] - len(parts) <= cut) == low]
 
 
 def set_a(variant: int, j: int, n: int) -> list[Partition]:

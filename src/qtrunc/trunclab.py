@@ -358,9 +358,10 @@ def corollary14_report(k: int, nmax: int) -> CheckReport:
         raise ValueError(f"need k >= 1 and nmax >= 1, got k={k}, nmax={nmax}")
     direction = ">=" if k % 2 == 1 else "<="
     report = CheckReport("corollary14", {"k": k, "nmax": nmax, "direction": direction})
+    diffs = lambert_diff(3, 1, nmax).dense()
     for n in range(1, nmax + 1):
         lhs = index_weighted_sum(n, k)
-        rhs = divisor_diff(n, 3, 1)
+        rhs = diffs[n]
         if (k % 2 == 1 and lhs < rhs) or (k % 2 == 0 and lhs > rhs):
             report.add(n, f"{direction} {rhs}", lhs)
     return report
@@ -384,9 +385,10 @@ def recurrence_check(nmax: int) -> CheckReport:
 # Product-sum building blocks and the decomposition
 
 
-def _product_sum_f(R: int, A: int, N: int) -> IntSeries:
+def _product_sum_f(R: int, A: int, N: int, euler: IntSeries | None = None) -> IntSeries:
     """(q^A, q^R; q^R)_inf times the sum over n >= 0 of
-    q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n)."""
+    q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n). A caller that needs several bases
+    at one (R, N) passes (q^R; q^R)_inf to order N as ``euler``."""
     if A < 1:
         raise ValueError(f"base exponent must be positive, got {A}")
     acc = [0] * (N + 1)
@@ -401,7 +403,9 @@ def _product_sum_f(R: int, A: int, N: int) -> IntSeries:
             _div_one_minus_list(term, A + R * (n - 1))
         _add_shifted(acc, term, R * n)
         n += 1
-    return IntSeries._from_list(acc, N) * pochhammer(R, R, N) * pochhammer(A, R, N)
+    if euler is None:
+        euler = pochhammer(R, R, N)
+    return IntSeries._from_list(acc, N) * euler * pochhammer(A, R, N)
 
 
 def f_series(P: TruncParams) -> IntSeries:
@@ -430,8 +434,9 @@ def mao_check(P: TruncParams) -> CheckReport:
     if R * k - S < 1:
         raise ValueError(f"need R*k - S >= 1, got {R * k - S}")
     report = CheckReport("mao", {"R": R, "S": S, "k": k, "N": N})
+    euler = pochhammer(R, R, N)
     for label, A in (("base R*k-S", R * k - S), ("base R*k+S", R * k + S)):
-        lhs = IntSeries.one(N) - _product_sum_f(R, A, N)
+        lhs = IntSeries.one(N) - _product_sum_f(R, A, N, euler)
         rhs = _mao_theta(R, A, N)
         for d in _diff_degrees(lhs, rhs):
             report.add({"series": label, "degree": d}, rhs.coeff(d), lhs.coeff(d))

@@ -205,3 +205,18 @@ def test_decomposition_expands_its_triple_product_once(monkeypatch):
     for k in range(1, 7):
         assert decomposition_check(TruncParams(5, 2, k, 600)).passed, k
     assert len(calls) == 1
+
+
+def test_mao_expands_its_euler_factor_once(monkeypatch):
+    """Timing-free gate: both bases of one mao_check share a single
+    (q^R; q^R)_inf, next to one (q^A; q^R)_inf per base."""
+    calls = []
+    real = trunclab.pochhammer
+
+    def recording(a, step, order):
+        calls.append((a, step, order))
+        return real(a, step, order)
+
+    monkeypatch.setattr(trunclab, "pochhammer", recording)
+    assert mao_check(TruncParams(5, 1, 4, 500)).passed
+    assert sorted(calls) == [(5, 5, 500), (19, 5, 500), (21, 5, 500)]

@@ -537,3 +537,22 @@ def test_wang_yee_truncation_beyond_order_is_trivial():
     report = wang_yee_check(6, 2, 4, 20)
     assert report.params == {"R": 6, "S": 2, "m": 4, "N": 20}
     assert report.passed, report.violations[:3]
+
+
+def test_corollary14_reads_one_divisor_sieve(monkeypatch):
+    """The divisor side of a report comes from one lambert_diff sieve, not
+    from a trial division per n; recurrence_check keeps the trial division."""
+    sieves = []
+    real = trunclab.lambert_diff
+
+    def recording(R, S, order):
+        sieves.append((R, S, order))
+        return real(R, S, order)
+
+    def trial_division(n, R, S):
+        raise AssertionError("corollary14_report called divisor_diff")
+
+    monkeypatch.setattr(trunclab, "lambert_diff", recording)
+    monkeypatch.setattr(trunclab, "divisor_diff", trial_division)
+    assert corollary14_report(3, 150).passed
+    assert sieves == [(3, 1, 150)]
