@@ -15,8 +15,8 @@ A product has two kernels, chosen by the number t of nonzero terms of the
 sparser operand:
 
 - t <= _SCHOOLBOOK_MAX_TERMS: the schoolbook loop, t * (N + 1) steps over a
-  dense copy of the other operand. Theta numerators, monomials and low
-  q-binomials take this path.
+  dense copy of the other operand. Theta numerators and monomials take
+  this path.
 - otherwise, Kronecker substitution. Each operand is packed into one int,
   coefficient i in the w-bit slot i; the two ints are multiplied once by
   CPython; the low N + 1 slots of the product are read back as signed
@@ -27,16 +27,8 @@ sparser operand:
   as Python 3.10 requires.
 
 Both kernels give the same exact coefficients; the tests check each
-against a naive list convolution.
-
-The slot width, the pack and the borrowing unpack are private helpers
-(_slot_width, _pack, _unpack), so a caller can also multiply-accumulate in
-packed form: pack each operand once at a width that bounds every
-accumulated coefficient, add the products of their low slots
-(_mul_low_slots), each moved up by its shift, as plain integers, and unpack
-the sum once. wang_yee_rhs forms its inner sums this way. Products of low
-slots carry values above the slots they fill; those land above the unpacked
-window, so only the window's bound matters.
+against a naive list convolution. wang_yee_rhs calls _kronecker_mul on its
+own dense lists, so the slot format stays private to this module.
 
 _times_one_minus_list and _div_one_minus_list multiply and divide a plain
 coefficient list by (1 - q^e) in place: the product expansions, the
@@ -308,17 +300,6 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
              for i in range(0, size, width)]
     # a slot read as negative lent 2^(8 * width) to the slot above it
     return [s + (below < 0) for s, below in zip(slots, [0] + slots)]
-
-
-def _mul_low_slots(a: int, b: int, width: int, count: int, up: int) -> int:
-    """The product of the low count slots of packed a and b, moved up by
-    `up` slots. Below slot up + count this is q^up times the product of a
-    and b cut after q^(count-1); from slot up + count on it holds other
-    values. So a sum of such products, each with up + count at or beyond
-    the end of the unpacked window, unpacks to the sum of the cut, shifted
-    products."""
-    mask = (1 << (8 * width * count)) - 1
-    return ((a & mask) * (b & mask)) << (8 * width * up)
 
 
 def _kronecker_mul(a: list[int], b: list[int], n: int) -> list[int]:

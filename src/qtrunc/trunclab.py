@@ -19,12 +19,9 @@ from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
 from .qseries import (
     IntSeries,
     _div_one_minus_list,
-    _mul_low_slots,
-    _pack,
+    _kronecker_mul,
     _require_window,
-    _slot_width,
     _times_one_minus_list,
-    _unpack,
     bilateral_theta,
     lambert_diff,
     pochhammer,
@@ -65,6 +62,13 @@ def _triple(R: int, S: int, N: int) -> IntSeries:
 @lru_cache(maxsize=None)
 def _inv_triple(R: int, S: int, N: int) -> IntSeries:
     return _triple(R, S, N).invert()
+
+
+@lru_cache(maxsize=None)
+def _euler(R: int, N: int) -> IntSeries:
+    """(q^R; q^R)_inf, expanded once per (R, N): the factor that every
+    product-sum series at one (R, N) shares, whichever base or k."""
+    return pochhammer(R, R, N)
 
 
 @lru_cache(maxsize=None)
@@ -117,43 +121,6 @@ def _theta_numerator(R: int, S: int, k: int, N: int) -> IntSeries:
             if exp <= N:
                 coeffs[exp] = coeffs.get(exp, 0) + c
     return IntSeries(coeffs, N)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian binomials
-
-
-@lru_cache(maxsize=None)
-def _qbin_coeffs(n: int, k: int) -> tuple[int, ...]:
-    if k < 0 or n < 0 or k > n:
-        return ()
-    if k == 0 or k == n:
-        return (1,)
-    low = _qbin_coeffs(n - 1, k - 1)
-    high = _qbin_coeffs(n - 1, k)
-    out = [0] * (k * (n - k) + 1)
-    for i, c in enumerate(low):
-        out[i] += c
-    for i, c in enumerate(high):
-        out[i + k] += c
-    return tuple(out)
-
-
-def q_binomial(n: int, k: int, step: int = 1, order: int | None = None) -> IntSeries:
-    """Gaussian binomial [n, k] in the variable q^step.
-
-    Computed by the Pascal-type recurrence [n,k] = [n-1,k-1] + q^k [n-1,k],
-    never by division, so coefficients are exact integers. Out-of-range
-    (n, k) gives the zero polynomial. The result is a finite polynomial and
-    is marked valid to its degree k(n-k)*step unless a higher order is
-    requested.
-    """
-    if step < 1:
-        raise ValueError(f"step must be positive, got {step}")
-    coeffs = _qbin_coeffs(n, k)
-    if order is None:
-        order = (len(coeffs) - 1) * step if coeffs else 0
-    return IntSeries({i * step: c for i, c in enumerate(coeffs)}, order)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +352,9 @@ def recurrence_check(nmax: int) -> CheckReport:
 # Product-sum building blocks and the decomposition
 
 
-def _product_sum_f(R: int, A: int, N: int, euler: IntSeries | None = None) -> IntSeries:
+def _product_sum_f(R: int, A: int, N: int) -> IntSeries:
     """(q^A, q^R; q^R)_inf times the sum over n >= 0 of
-    q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n). A caller that needs several bases
-    at one (R, N) passes (q^R; q^R)_inf to order N as ``euler``."""
+    q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n)."""
     if A < 1:
         raise ValueError(f"base exponent must be positive, got {A}")
     acc = [0] * (N + 1)
@@ -403,9 +369,7 @@ def _product_sum_f(R: int, A: int, N: int, euler: IntSeries | None = None) -> In
             _div_one_minus_list(term, A + R * (n - 1))
         _add_shifted(acc, term, R * n)
         n += 1
-    if euler is None:
-        euler = pochhammer(R, R, N)
-    return IntSeries._from_list(acc, N) * euler * pochhammer(A, R, N)
+    return IntSeries._from_list(acc, N) * _euler(R, N) * pochhammer(A, R, N)
 
 
 def f_series(P: TruncParams) -> IntSeries:
@@ -434,9 +398,8 @@ def mao_check(P: TruncParams) -> CheckReport:
     if R * k - S < 1:
         raise ValueError(f"need R*k - S >= 1, got {R * k - S}")
     report = CheckReport("mao", {"R": R, "S": S, "k": k, "N": N})
-    euler = pochhammer(R, R, N)
     for label, A in (("base R*k-S", R * k - S), ("base R*k+S", R * k + S)):
-        lhs = IntSeries.one(N) - _product_sum_f(R, A, N, euler)
+        lhs = IntSeries.one(N) - _product_sum_f(R, A, N)
         rhs = _mao_theta(R, A, N)
         for d in _diff_degrees(lhs, rhs):
             report.add({"series": label, "degree": d}, rhs.coeff(d), lhs.coeff(d))
@@ -489,7 +452,7 @@ def _mao_double_sum(R: int, A: int, N: int) -> IntSeries:
             _add_shifted(acc, term, shift)
             m += 1
         n += 1
-    return IntSeries._from_list(acc, N) * pochhammer(A, R, N) * pochhammer(R, R, N)
+    return IntSeries._from_list(acc, N) * pochhammer(A, R, N) * _euler(R, N)
 
 
 def i_series_closed(idx: int, P: TruncParams) -> IntSeries:
@@ -579,6 +542,18 @@ def _require_half_window(R: int, S: int) -> None:
         raise ValueError(f"need 1 <= S <= R/2, got R={R}, S={S}")
 
 
+def _add_numerator_term(acc: list[int], src: list[int], e: int, R: int,
+                        n: int, k: int) -> None:
+    """acc += q^e * src * prod_{i<k} (1 - q^(R(n-i))) in place, dropping
+    what falls past the end of acc: src times the numerator of the Gaussian
+    binomial [n, k] in q^R, cut before the factor steps."""
+    if e < len(acc):
+        term = src[:len(acc) - e]
+        for i in range(k):
+            _times_one_minus_list(term, R * (n - i))
+        _add_shifted(acc, term, e)
+
+
 def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     """Closed quadruple-sum series form of the m-truncated theta quotient
     in wang_yee_check, to order N.
@@ -588,25 +563,32 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     ((q^R;q^R)_i (q^R;q^R)_j (q^R;q^R)_h (q^R;q^R)_k) * [n-1, m-1] in q^R,
     cut once the minimal exponent R m(m-1)/2 + n(R-S) exceeds N.
 
-    The quadruple sum is grouped into two pair sums, pair_g[s] over i + j = s
-    and pair_h[s] over h + k = s, whose products are then convolved over n.
-    Every pair term needs pair(x, y) = 1/((q^R;q^R)_x (q^R;q^R)_y). These are
+    The quadruple sum is grouped into two pair sums, pair_g[u] over i + j = u
+    and pair_h[t] over h + k = t, so that with n = u + t it reads
+    sum_{u+t >= m} q^(uR + t(R-S)) pair_g[u] pair_h[t] [u+t-1, m-1]. Every
+    pair term needs pair(x, y) = 1/((q^R;q^R)_x (q^R;q^R)_y). These are
     streamed one anti-diagonal x + y = s at a time, without multiplying:
     pair(x, s - x) = pair(x, s - 1 - x) / (1 - q^(R(s - x))) is one geometric
     step from the diagonal before, and pair is symmetric, so only x <= s/2 is
-    kept. Live memory is one diagonal, O(nmax * W) coefficients, not the
-    O(nmax^2 * W) of the whole pair table. Each pair term goes straight into
-    the dense pair_g[s] and pair_h[s] at its shift.
+    kept. Live memory is one diagonal, O(nmax * W) coefficients, plus the
+    2m lists A_j and B_j below; pair_g[s] and pair_h[s] exist only while
+    diagonal s is current.
 
-    The inner sums over t of q^(nR - tS) pair_g[n-t] pair_h[t] are formed in
-    packed integers: every pair_g[s] and pair_h[s] is packed once, at one
-    slot width that holds any inner-sum coefficient, and for each n the
-    products of their low slots are added as integers, each moved up by its
-    shift, then unpacked once. The Gaussian binomial is applied as
-    [n-1, m-1] = prod_{i<m} (1 - q^(R(n-i))) / (1 - q^(Ri)): the numerator
-    factors on each inner sum, the denominator once on the total. Each
-    product and each shifted term is cut to the order that survives its
-    shift, so no coefficient past order N is computed.
+    The convolution over n becomes m products by the q-Chu-Vandermonde
+    split: in base q^R and for t >= 1,
+    [u+t-1, m-1] = sum_{j<m} [u, j] [t-1, m-1-j] q^(R(u-j)(m-1-j)).
+    So the rows t >= 1 sum to sum_{j<m} A_j B_j with
+    A_j = sum_{u >= j} q^(uR + R(u-j)(m-1-j)) [u, j] pair_g[u] and
+    B_j = sum_{t >= m-j} q^(t(R-S)) [t-1, m-1-j] pair_h[t]. The row t = 0
+    has pair_h[0] = 1 and needs no product: it adds
+    sum_{u >= m} q^(uR) [u-1, m-1] pair_g[u]. Each Gaussian binomial
+    [n, k] = prod_{i<k} (1 - q^(R(n-i))) / (q^R;q^R)_k is applied as factor
+    steps on each term for its numerator, and its denominator once on each
+    A_j, each B_j and the t = 0 row. A_j and B_j are kept divided by their
+    least degrees jR and (m-j)(R-S), to the order that survives the shift of
+    their product, which _kronecker_mul forms; every term is cut to the
+    order that survives its own shift, so no coefficient past order N is
+    computed.
     """
     _require_half_window(R, S)
     if m < 1:
@@ -618,10 +600,10 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
         return IntSeries.one(N)
     W = N - monomial
     nmax = W // (R - S)
-    # pair_g[u] enters the inner sums at shifts e >= uR and pair_h[t] at
-    # e >= t(R - S); each is kept to the W - e + 1 coefficients that survive
-    pair_g = []
-    pair_h = []
+    lows = [j * R + (m - j) * (R - S) for j in range(m)]
+    A = [[0] * (W - low + 1) for low in lows]  # empty when W < low
+    B = [[0] * (W - low + 1) for low in lows]
+    total = [0] * (W + 1)
     diagonal = [[1] + [0] * W]  # diagonal[x] = pair(x, s - x) for x <= s/2
     for s in range(nmax + 1):
         if s:
@@ -629,49 +611,37 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
                 # pair(s/2, s/2) = pair(s/2 - 1, s/2) / (1 - q^(R s/2))
                 diagonal.append(list(diagonal[-1]))
             for x, p in enumerate(diagonal):
-                # pair(x, s - x) reaches the inner sums at q^(sR + mxR) or
-                # higher through pair_g[s], and at q^(s(R-S) + x(s-x)R + 2xS)
-                # or higher through pair_h[s]; later diagonals reach higher
+                # pair(x, s - x) reaches the total at q^(sR + mxR) or higher
+                # through pair_g[s], and at q^(s(R-S) + x(s-x)R + 2xS) or
+                # higher through pair_h[s]; later diagonals reach higher
                 reach = min(s * R + m * x * R, s * (R - S) + x * (s - x) * R + 2 * x * S)
                 del p[W - reach + 1:]
                 _div_one_minus_list(p, R * (s - x))
         # pair(a, s - a) = pair(s - a, a) = diagonal[min(a, s - a)]
         if s * R <= W:
+            # pair_g[s] divided by q^(sR), the least shift it enters at
             g = [0] * (W - s * R + 1)
             for a in range(s + 1):
                 _add_shifted(g, diagonal[min(a, s - a)], m * a * R)
-            pair_g.append(g)
-        h = [0] * (W - s * (R - S) + 1)
-        for a in range(s + 1):
-            _add_shifted(h, diagonal[min(a, s - a)], a * (s - a) * R + 2 * a * S)
-        pair_h.append(h)
-    # |every inner-sum coefficient| <= bound: at most nmax + 1 products,
-    # each coefficient a sum of at most W + 1 terms. pair_g[0] and pair_h[0]
-    # start with 1, so the bound also holds every pair coefficient.
-    bound = (max(max(map(abs, g)) for g in pair_g)
-             * max(max(map(abs, h)) for h in pair_h) * (W + 1) * (nmax + 1))
-    width = _slot_width(bound)
-    packed_g = [_pack(g, width) for g in pair_g]
-    packed_h = [_pack(h, width) for h in pair_h]
-    total = [0] * (W + 1)
-    for n in range(m, nmax + 1):
-        # every shift e below is at least low = n(R - S), so the inner sum
-        # is built divided by q^low, to order W - low
-        low = n * (R - S)
-        packed = 0
-        for t in range(n + 1):
-            e = n * R - t * S
-            if e <= W:
-                packed += _mul_low_slots(packed_g[n - t], packed_h[t], width,
-                                         W - e + 1, e - low)
-        inner = _unpack(packed, width, W - low + 1)
-        # times the numerator of [n-1, m-1] in q^R
-        for i in range(1, m):
-            _times_one_minus_list(inner, R * (n - i))
-        _add_shifted(total, inner, low)
-    # the denominator of [n-1, m-1] in q^R, common to every n
+            for j in range(min(s, m - 1) + 1):
+                _add_numerator_term(A[j], g, (s - j) * (m - j) * R, R, s, j)
+            if s >= m:
+                _add_numerator_term(total, g, s * R, R, s - 1, m - 1)
+        if s:
+            h = [0] * (W - s * (R - S) + 1)
+            for a in range(s + 1):
+                _add_shifted(h, diagonal[min(a, s - a)], a * (s - a) * R + 2 * a * S)
+            for j in range(max(0, m - s), m):
+                _add_numerator_term(B[j], h, (s - m + j) * (R - S), R, s - 1, m - 1 - j)
     for i in range(1, m):
         _div_one_minus_list(total, R * i)
+    for j, low in enumerate(lows):
+        for i in range(1, j + 1):
+            _div_one_minus_list(A[j], R * i)
+        for i in range(1, m - j):
+            _div_one_minus_list(B[j], R * i)
+        if low <= W:
+            _add_shifted(total, _kronecker_mul(A[j], B[j], W - low), low)
     sign = _sign(m - 1)
     out = [0] * monomial + [sign * c for c in total]
     out[0] += 1

@@ -1,11 +1,13 @@
 """The dense-scratch forms of the identity suites against their IntSeries forms.
 
 wang_yee_rhs, _product_sum_f, _mao_double_sum and am_rhs sum into plain int
-lists, and wang_yee_rhs forms its inner sums as packed integers. The
-functions below are the same constructions written as chains of IntSeries
-operations, kept as the reference: every result must be equal, coefficient
-for coefficient and in its order. The timing-free gates count the work the
-dense forms do at fixed points.
+lists, and wang_yee_rhs forms its m products of A_j and B_j, the two sides
+of the q-Chu-Vandermonde split of its Gaussian binomial, with _kronecker_mul.
+The functions below are the same constructions written as chains of
+IntSeries operations, with the whole convolution over n and the binomial
+from the Pascal recurrence, kept as the reference: every result must be
+equal, coefficient for coefficient and in its order. The timing-free gates
+count the work the dense forms do at fixed points.
 """
 
 from qtrunc import trunclab
@@ -17,10 +19,10 @@ from qtrunc.trunclab import (
     am_rhs,
     decomposition_check,
     mao_check,
-    q_binomial,
     wang_yee_check,
     wang_yee_rhs,
 )
+from qbinomial import q_binomial
 
 
 def series_wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
@@ -124,8 +126,9 @@ def test_wang_yee_rhs_matches_series_form():
     # the benchmark's two points, then small orders over both windows
     for args in [(3, 1, 1, 150), (3, 1, 2, 153)]:
         assert wang_yee_rhs(*args) == series_wang_yee_rhs(*args), args
-    for R, S, m in [(3, 1, 1), (3, 1, 2), (4, 2, 1), (5, 2, 3), (6, 3, 2)]:
-        for N in (0, 5, 31, 45):
+    for R, S, m in [(3, 1, 1), (3, 1, 2), (4, 2, 1), (5, 2, 3), (6, 3, 2),
+                    (4, 2, 3), (5, 1, 4)]:
+        for N in (0, 5, 31, 45, 120):
             assert wang_yee_rhs(R, S, m, N) == series_wang_yee_rhs(R, S, m, N), \
                 (R, S, m, N)
 
@@ -161,15 +164,15 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_wang_yee_packed_product_gate(monkeypatch):
-    """Timing-free gate: the packed products of wang-yee's inner sums at a
-    fixed point, and one pack per pair series that reaches order N: pair_g[u]
-    for uR <= N, pair_h[t] for t(R - S) <= N."""
-    products = _count_calls(monkeypatch, trunclab, "_mul_low_slots")
-    packs = _count_calls(monkeypatch, trunclab, "_pack")
-    assert wang_yee_check(3, 1, 1, 60).passed
-    assert len(products) <= 330
-    assert len(packs) == (60 // 3 + 1) + (60 // 2 + 1)
+def test_wang_yee_makes_one_product_per_split_term(monkeypatch):
+    """Timing-free gate: wang_yee_rhs forms sum_{j<m} A_j B_j with one
+    _kronecker_mul per j; the theta quotient of the check, whose sparse
+    numerator has at most 2m <= 16 terms, takes the schoolbook loop."""
+    products = _count_calls(monkeypatch, trunclab, "_kronecker_mul")
+    for m in range(1, 5):
+        products.clear()
+        assert wang_yee_check(3, 1, m, 60).passed, m
+        assert len(products) == m, m
 
 
 def test_mao_series_objects_do_not_grow_with_order(monkeypatch):
@@ -191,6 +194,7 @@ def test_mao_series_objects_do_not_grow_with_order(monkeypatch):
     monkeypatch.setattr(IntSeries, "_make", classmethod(counting_make))
     counts = []
     for N in (120, 480):
+        trunclab._euler.cache_clear()
         built.clear()
         assert mao_check(TruncParams(5, 2, 1, N)).passed
         counts.append(len(built))
@@ -208,8 +212,10 @@ def test_decomposition_expands_its_triple_product_once(monkeypatch):
 
 
 def test_mao_expands_its_euler_factor_once(monkeypatch):
-    """Timing-free gate: both bases of one mao_check share a single
-    (q^R; q^R)_inf, next to one (q^A; q^R)_inf per base."""
+    """Timing-free gate: every base of the mao checks at one (R, N), over
+    all k as the CLI runs them, shares a single (q^R; q^R)_inf, next to one
+    (q^A; q^R)_inf per base."""
+    trunclab._euler.cache_clear()
     calls = []
     real = trunclab.pochhammer
 
@@ -218,5 +224,7 @@ def test_mao_expands_its_euler_factor_once(monkeypatch):
         return real(a, step, order)
 
     monkeypatch.setattr(trunclab, "pochhammer", recording)
-    assert mao_check(TruncParams(5, 1, 4, 500)).passed
-    assert sorted(calls) == [(5, 5, 500), (19, 5, 500), (21, 5, 500)]
+    for k in range(1, 5):
+        assert mao_check(TruncParams(5, 1, k, 500)).passed, k
+    bases = [(5 * k + sign, 5, 500) for k in range(1, 5) for sign in (-1, 1)]
+    assert sorted(calls) == sorted([(5, 5, 500)] + bases)

@@ -149,35 +149,6 @@ def test_kronecker_kernel_matches_naive_convolution(xs, ys):
     assert (a * b) == (b * a)
 
 
-@given(st.lists(st.tuples(wide_coeff_lists, wide_coeff_lists,
-                          st.integers(min_value=0, max_value=20)),
-                min_size=1, max_size=4),
-       st.integers(min_value=1, max_value=60))
-@settings(max_examples=200, deadline=None)
-@example([([0] * 5, [2 ** 300] * 5, 0), ([1], [-1], 3)], 8)
-@example([([-(2 ** 200) + 1], [2 ** 200 - 1], 0)], 1)
-def test_packed_multiply_accumulate_matches_naive_convolution(products, count):
-    """Pack, sum several shifted products of low slots, unpack once: the
-    inner-sum route of wang_yee_rhs. Each product xs * ys is cut to the
-    slots that stay below count after its shift."""
-    expected = [0] * count
-    bound = 1
-    for xs, ys, up in products:
-        if up < count:
-            for d, c in enumerate(naive_mul(xs, ys, count - up - 1)):
-                expected[d + up] += c
-        bound = max(bound, max(map(abs, xs)), max(map(abs, ys)))
-    # |every accumulated coefficient| <= bound^2 * (terms per product) * products
-    bound = bound * bound * 3 * qseries._SCHOOLBOOK_MAX_TERMS * len(products)
-    width = qseries._slot_width(bound)
-    acc = 0
-    for xs, ys, up in products:
-        if up < count:
-            acc += qseries._mul_low_slots(qseries._pack(xs, width), qseries._pack(ys, width),
-                                          width, count - up, up)
-    assert qseries._unpack(acc, width, count) == expected
-
-
 def test_mul_switches_kernel_above_crossover(monkeypatch):
     calls = []
     kernel = qseries._kronecker_mul

@@ -33,7 +33,6 @@ from qtrunc import (
     mk_identity_check,
     p_euler,
     pentagonal_check,
-    q_binomial,
     recurrence_check,
     theorem13_check,
     theorem13_series,
@@ -47,6 +46,7 @@ from qtrunc.trunclab import (
     _theta_numerator,
     conjecture_regime,
 )
+from qbinomial import q_binomial
 
 
 def naive_mul(a, b, order):
@@ -498,18 +498,20 @@ def _wang_yee_rhs_full_order(R: int, S: int, m: int, N: int) -> IntSeries:
 
 
 def test_wang_yee_rhs_equals_full_order_form():
-    for R, S, m in [(3, 1, 1), (3, 1, 2), (4, 2, 1), (5, 2, 3), (6, 3, 2)]:
-        for N in (0, 5, 31, 45):
+    for R, S, m in [(3, 1, 1), (3, 1, 2), (4, 2, 1), (5, 2, 3), (6, 3, 2),
+                    (4, 2, 3), (5, 1, 4)]:
+        for N in (0, 5, 31, 45, 120):
             assert wang_yee_rhs(R, S, m, N) == _wang_yee_rhs_full_order(R, S, m, N), \
                 (R, S, m, N)
 
 
 def test_wang_yee_multiply_count_gate(monkeypatch):
-    """Timing-free regression gate: the number of series products that
+    """Timing-free regression gate: the number of IntSeries products that
     wang-yee makes at a fixed point. Building the pair series by geometric
-    steps took it from 617 to 361. Forming the inner sums as packed integers
-    and applying the Gaussian binomial as (1 - q^j) factors left one: the
-    theta quotient. A change that raises it fails here."""
+    steps took it from 617 to 361; summing over plain lists, with the
+    Gaussian binomial as (1 - q^j) factors, left one: the theta quotient.
+    The closed side's m products go to _kronecker_mul on plain lists, not
+    through IntSeries. A change that raises it fails here."""
     calls = []
     mul = IntSeries.__mul__
 
@@ -520,6 +522,13 @@ def test_wang_yee_multiply_count_gate(monkeypatch):
     monkeypatch.setattr(IntSeries, "__mul__", counting)
     assert wang_yee_check(3, 1, 1, 60).passed
     assert len(calls) <= 1
+
+
+def test_wang_yee_check_at_scale():
+    # coefficients far larger than any benchmark point builds
+    for m in (1, 3):
+        report = wang_yee_check(3, 1, m, 400)
+        assert report.passed, (m, report.violations[:3])
 
 
 def test_wang_yee_rejects_bad_arguments():
