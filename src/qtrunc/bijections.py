@@ -144,7 +144,6 @@ def verify_phi(n: int) -> CheckReport:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     indices = [j for j in range(-n, n + 1) if gpn(j) <= n]
-    indices.sort()
     if _phi_orbits(n, indices):
         report = CheckReport("phi", {"n": n})
     else:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import add, ge
 from typing import Iterator
 
-from .qseries import IntSeries, _require_window
+from .qseries import IntSeries, _require_window, _theta_sum
 
 
 @dataclass(frozen=True)
@@ -310,12 +310,4 @@ def divisor_diff(n: int, R: int, S: int) -> int:
 
 def jacobi_cube(order: int) -> IntSeries:
     """Sum over j >= 0 of (-1)^j (2j+1) q^(j(j+1)/2), truncated."""
-    coeffs = {}
-    j = 0
-    while True:
-        e = j * (j + 1) // 2
-        if e > order:
-            break
-        coeffs[e] = (2 * j + 1) * (1 if j % 2 == 0 else -1)
-        j += 1
-    return IntSeries(coeffs, order)
+    return _theta_sum(1, 0, 0, order, u=2)

@@ -34,6 +34,13 @@ _times_one_minus_list and _div_one_minus_list multiply and divide a plain
 coefficient list by (1 - q^e) in place: the product expansions, the
 IntSeries methods and the dense sums in trunclab all go through them.
 
+_theta_sum is the one builder of the sparse theta-type sums
+sum_j (-1)^j (u j + v) q^(R j(j+1)/2 + b j + c): the bilateral theta sum
+and its k-term cuts, the index-weighted numerator of d_series, mao's
+alternating sums, the I1-I4 blocks, the Jacobi cube and the gz numerator.
+The pentagonal and jacobi-cube suites certify it against the product
+expansions.
+
 Coefficients must be of type int; bool is rejected too, since a bool
 coefficient is almost always a comparison result that leaked in. The public
 constructors check every key and value. Results computed inside this module
@@ -361,25 +368,37 @@ def triple_product(R: int, S: int, order: int) -> IntSeries:
     return IntSeries._from_list(dense, order)
 
 
-def bilateral_theta(R: int, S: int, order: int) -> IntSeries:
-    """Sum over all integers j of (-1)^j q^(R*j(j+1)/2 - S*j).
+def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,
+               u: int = 0, v: int = 1) -> IntSeries:
+    """Sum over 0 <= j < terms of (-1)^j (u j + v) q^(R j(j+1)/2 + b j + c),
+    to the given order, over every j >= 0 when terms is None: the one
+    builder of the sparse theta-type sums.
 
-    The constraint 1 <= S < R keeps every exponent nonnegative. Exponents
+    The exponent grows by R(j+1) + b >= 1 from j to j + 1, which R >= 0 and
+    R + b >= 1 guarantee, so the walk stops at the first exponent past the
+    order and no two terms share an exponent.
+    """
+    if R < 0 or R + b < 1 or c < 0:
+        raise ValueError(f"need R >= 0, R + b >= 1 and c >= 0, got R={R}, b={b}, c={c}")
+    coeffs: dict[int, int] = {}
+    j, e = 0, c
+    while e <= order and (terms is None or j < terms):
+        coeffs[e] = (u * j + v) * (1 if j % 2 == 0 else -1)
+        j += 1
+        e += R * j + b
+    return IntSeries(coeffs, order)
+
+
+def bilateral_theta(R: int, S: int, order: int, k: int | None = None) -> IntSeries:
+    """Sum of (-1)^j q^(R*j(j+1)/2 - S*j) over all integers j, or over
+    -k <= j < k when k is given.
+
+    The constraint 1 <= S < R keeps every exponent nonnegative. The tail
+    j = -(i+1) has exponent R i(i+1)/2 + S i + S and sign -(-1)^i. Exponents
     from the two tails may coincide (R = 2S); contributions accumulate.
     """
     _require_window(R, S)
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    coeffs: dict[int, int] = {}
-    # each tail's exponents grow with |j|, so walk out from j = 0 and j = -1
-    for j, step in ((0, 1), (-1, -1)):
-        while True:
-            e = R * j * (j + 1) // 2 - S * j
-            if e > order:
-                break
-            coeffs[e] = coeffs.get(e, 0) + (1 if j % 2 == 0 else -1)
-            j += step
-    return IntSeries(coeffs, order)
+    return _theta_sum(R, -S, 0, order, k) - _theta_sum(R, S, S, order, k)
 
 
 def lambert_diff(R: int, S: int, order: int) -> IntSeries:

@@ -21,6 +21,7 @@ from .qseries import (
     _div_one_minus_list,
     _kronecker_mul,
     _require_window,
+    _theta_sum,
     _times_one_minus_list,
     bilateral_theta,
     lambert_diff,
@@ -110,19 +111,6 @@ def _negative_coeffs(series: IntSeries, n0: int) -> Iterator[tuple[int, int]]:
             yield n, c
 
 
-def _theta_numerator(R: int, S: int, k: int, N: int) -> IntSeries:
-    """Sum of (-1)^j q^(R j(j+1)/2 - S j) over -k <= j < k, to order N: the
-    bilateral theta sum cut to k terms on each side. It is built in pairs,
-    term j >= 0 with term -(j+1), whose exponent is larger by (2j+1)S."""
-    coeffs: dict[int, int] = {}
-    for j in range(k):
-        e = R * j * (j + 1) // 2 - S * j
-        for exp, c in ((e, _sign(j)), (e + (2 * j + 1) * S, -_sign(j))):
-            if exp <= N:
-                coeffs[exp] = coeffs.get(exp, 0) + c
-    return IntSeries(coeffs, N)
-
-
 # ---------------------------------------------------------------------------
 # Truncated pentagonal identity and the sieve-count triangle
 
@@ -132,7 +120,7 @@ def am_lhs(k: int, N: int) -> IntSeries:
     the theta quotient at (R, S) = (3, 1), whose triple product is (q;q)_inf."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _theta_numerator(3, 1, k, N) * _inv_triple(3, 1, N)
+    return bilateral_theta(3, 1, N, k) * _inv_triple(3, 1, N)
 
 
 def am_rhs(k: int, N: int) -> IntSeries:
@@ -254,7 +242,7 @@ def conjecture_series(P: TruncParams) -> IntSeries:
     from q^1 on is the literal claim under test.
     """
     _require_window(P.R, P.S)
-    series = _theta_numerator(P.R, P.S, P.k, P.N) * _inv_triple(P.R, P.S, P.N)
+    series = bilateral_theta(P.R, P.S, P.N, P.k) * _inv_triple(P.R, P.S, P.N)
     return series.scale(_sign(P.k - 1))
 
 
@@ -270,17 +258,15 @@ def conjecture_check(P: TruncParams) -> CheckReport:
 
 
 def d_series(P: TruncParams) -> IntSeries:
-    """Index-weighted truncated theta sum over the triple product, minus the
+    """Index-weighted truncated theta sum, over -k <= j < k of
+    (-1)^j j q^(R j(j+1)/2 - S j), over the triple product, minus the
     divisor-difference series it approximates."""
     _require_window(P.R, P.S)
     R, S, k, N = P.R, P.S, P.k, P.N
-    coeffs: dict[int, int] = {}
-    for j in range(-k, k):
-        e = R * j * (j + 1) // 2 - S * j
-        if j != 0 and e <= N:
-            coeffs[e] = coeffs.get(e, 0) + _sign(j) * j
-    quotient = IntSeries(coeffs, N) * _inv_triple(R, S, N)
-    return quotient - lambert_diff(R, S, N)
+    # the term j = -(i+1) is (-1)^i (i+1) q^(R i(i+1)/2 + S i + S)
+    numerator = (_theta_sum(R, -S, 0, N, k, u=1, v=0)
+                 + _theta_sum(R, S, S, N, k, u=1))
+    return numerator * _inv_triple(R, S, N) - lambert_diff(R, S, N)
 
 
 def theorem13_series(P: TruncParams) -> IntSeries:
@@ -372,25 +358,6 @@ def _product_sum_f(R: int, A: int, N: int) -> IntSeries:
     return IntSeries._from_list(acc, N) * _euler(R, N) * pochhammer(A, R, N)
 
 
-def f_series(P: TruncParams) -> IntSeries:
-    """The product-sum series with base exponent R*k - S; its constant term
-    is 1, so 1 - f starts at a positive power."""
-    return _product_sum_f(P.R, P.R * P.k - P.S, P.N)
-
-
-def _mao_theta(R: int, A: int, N: int) -> IntSeries:
-    """Sum over j >= 1 of (-1)^(j+1) q^(R j(j-1)/2 + A j)."""
-    coeffs: dict[int, int] = {}
-    j = 1
-    while True:
-        e = R * j * (j - 1) // 2 + A * j
-        if e > N:
-            break
-        coeffs[e] = coeffs.get(e, 0) + _sign(j + 1)
-        j += 1
-    return IntSeries(coeffs, N)
-
-
 def mao_check(P: TruncParams) -> CheckReport:
     """1 minus each product-sum series (base exponents R*k -+ S) must equal
     the corresponding alternating theta-type sum, exactly to order N."""
@@ -400,7 +367,8 @@ def mao_check(P: TruncParams) -> CheckReport:
     report = CheckReport("mao", {"R": R, "S": S, "k": k, "N": N})
     for label, A in (("base R*k-S", R * k - S), ("base R*k+S", R * k + S)):
         lhs = IntSeries.one(N) - _product_sum_f(R, A, N)
-        rhs = _mao_theta(R, A, N)
+        # sum over j >= 1 of (-1)^(j+1) q^(R j(j-1)/2 + A j)
+        rhs = _theta_sum(R, A, A, N)
         for d in _diff_degrees(lhs, rhs):
             report.add({"series": label, "degree": d}, rhs.coeff(d), lhs.coeff(d))
     return report
@@ -420,16 +388,7 @@ def i_series(idx: int, P: TruncParams) -> IntSeries:
     plus = idx in (2, 4)
     linear = R * k + S if plus else R * k - S
     offset = S * (2 * k + 1) if plus else 0
-    coeffs: dict[int, int] = {}
-    j = 0
-    while True:
-        e = R * j * (j + 1) // 2 + linear * j + offset
-        if e > N:
-            break
-        c = j + 1 if idx in (3, 4) else 1
-        coeffs[e] = coeffs.get(e, 0) + _sign(j) * c
-        j += 1
-    return IntSeries(coeffs, N)
+    return _theta_sum(R, linear, offset, N, u=int(idx in (3, 4)))
 
 
 def _mao_double_sum(R: int, A: int, N: int) -> IntSeries:
@@ -497,15 +456,15 @@ def decomposition_check(P: TruncParams) -> CheckReport:
         return report
     shift = numerator // 2
     lhs = (_triple(R, S, N) * d_series(P)).scale(_sign(k - 1))
-    combo = (i_series(1, P).scale(k - 1) + i_series(2, P).scale(k)
-             + i_series(3, P) + i_series(4, P))
+    blocks = [i_series(idx, P) for idx in (1, 2, 3, 4)]
+    combo = blocks[0].scale(k - 1) + blocks[1].scale(k) + blocks[2] + blocks[3]
     rhs = combo.shifted(shift)
     for d in _diff_degrees(lhs, rhs):
         report.add({"check": "identity", "degree": d}, rhs.coeff(d), lhs.coeff(d))
     inv3 = _inv_triple(R, S, N)
-    for idx in (1, 2, 3, 4):
+    for idx, block in enumerate(blocks, 1):
         # only the first negative degree of each quotient is reported
-        for n, c in _negative_coeffs(i_series(idx, P) * inv3, 0):
+        for n, c in _negative_coeffs(block * inv3, 0):
             report.add({"check": f"I{idx}-positivity", "degree": n}, ">= 0", c)
             break
     return report
@@ -520,12 +479,7 @@ def gz_series(k: int, N: int) -> IntSeries:
     product; the sign (-1)^k makes nonnegativity from q^1 the literal claim."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    coeffs: dict[int, int] = {}
-    for j in range(k + 1):
-        e = j * (j + 1) // 2
-        if e <= N:
-            coeffs[e] = _sign(j) * (2 * j + 1)
-    series = IntSeries(coeffs, N) * _inv_euler_cubed(N)
+    series = _theta_sum(1, 0, 0, N, k + 1, u=2) * _inv_euler_cubed(N)
     return series.scale(_sign(k))
 
 
@@ -653,7 +607,7 @@ def wang_yee_check(R: int, S: int, m: int, N: int) -> CheckReport:
     quadruple-sum series form (wang_yee_rhs), compared exactly to order N."""
     rhs = wang_yee_rhs(R, S, m, N)
     report = CheckReport("wang-yee", {"R": R, "S": S, "m": m, "N": N})
-    lhs = _theta_numerator(R, S, m, N) * _inv_triple(R, S, N)
+    lhs = bilateral_theta(R, S, N, m) * _inv_triple(R, S, N)
     for d in _diff_degrees(lhs, rhs):
         report.add(d, rhs.coeff(d), lhs.coeff(d))
     return report

@@ -20,7 +20,6 @@ from qtrunc import (
     decomposition_check,
     divisor_diff,
     enumerate_partitions,
-    f_series,
     gpn,
     gz_check,
     gz_series,
@@ -43,7 +42,7 @@ from qtrunc.qseries import IntSeries, bilateral_theta, pochhammer
 from qtrunc.trunclab import (
     _mao_double_sum,
     _negative_coeffs,
-    _theta_numerator,
+    _product_sum_f,
     conjecture_regime,
 )
 from qbinomial import q_binomial
@@ -197,8 +196,8 @@ def test_am_lhs_matches_pentagonal_sum_over_euler_product():
 def test_theta_numerator_is_the_bilateral_theta_cut():
     # once every term up to the order is in, the cut sum is the whole sum
     for R, S in [(3, 1), (2, 1), (5, 2), (5, 4), (7, 3)]:
-        assert _theta_numerator(R, S, 12, 60) == bilateral_theta(R, S, 60), (R, S)
-    assert _theta_numerator(3, 1, 2, 20).dense() == [1, -1, -1, 0, 0, 1] + [0] * 15
+        assert bilateral_theta(R, S, 60, 12) == bilateral_theta(R, S, 60), (R, S)
+    assert bilateral_theta(3, 1, 20, 2).dense() == [1, -1, -1, 0, 0, 1] + [0] * 15
 
 
 def test_negative_coeffs_reports_first_offender():
@@ -353,13 +352,13 @@ def test_index_weighted_sum_matches_full_range_scan():
 
 
 def test_f_series_frozen_values():
-    assert f_series(TruncParams(3, 1, 1, 12)).dense() == \
+    assert _product_sum_f(3, 3 * 1 - 1, 12).dense() == \
         [1, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
 
 
 def test_f_series_matches_naive_expansion():
     for R, S, k in [(3, 1, 1), (3, 2, 1), (4, 1, 2), (5, 2, 1)]:
-        got = f_series(TruncParams(R, S, k, 30))
+        got = _product_sum_f(R, R * k - S, 30)
         assert got.dense() == naive_product_sum(R, R * k - S, 30)
 
 
