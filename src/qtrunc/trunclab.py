@@ -198,8 +198,11 @@ def mk_identity_check(k: int, nmax: int, nmin: int = 1) -> CheckReport:
 def pentagonal_check(R: int, S: int, N: int) -> CheckReport:
     """Triple product versus bilateral theta sum, coefficient by coefficient.
 
-    At (R, S) = (3, 1) the plain Euler product is compared as well, since
-    the three residue classes mod 3 then cover every exponent.
+    The product side is expanded by Euler's distinct-parts sum (see
+    ``qseries.pochhammer``), which does not go through Jacobi's triple
+    product, so the two sides are independent routes. At (R, S) = (3, 1)
+    the plain Euler product is compared as well, since the three residue
+    classes mod 3 then cover every exponent.
     """
     _require_window(R, S)
     report = CheckReport("pentagonal", {"R": R, "S": S, "N": N})
@@ -217,7 +220,12 @@ def pentagonal_check(R: int, S: int, N: int) -> CheckReport:
 
 
 def jacobi_cube_check(N: int) -> CheckReport:
-    """Cubed Euler product versus its sparse odd-weighted triangular sum."""
+    """Cubed Euler product versus its sparse odd-weighted triangular sum.
+
+    The Euler product is expanded by Euler's distinct-parts sum (see
+    ``qseries.pochhammer``) and cubed by two products; the other side is
+    the theta-type sum of ``jacobi_cube``, so the routes are independent.
+    """
     report = CheckReport("jacobi-cube", {"N": N})
     cube = _euler_cubed(N)
     sparse = jacobi_cube(N)

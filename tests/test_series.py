@@ -6,11 +6,13 @@ divisor scan for the Lambert coefficients. Every fast path in qseries
 must agree with them exactly.
 """
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtrunc import qseries
+from qtrunc import cli, qseries, trunclab
 from qtrunc import (
     IntSeries,
     bilateral_theta,
@@ -23,8 +25,11 @@ from qtrunc.partitions import enumerate_partitions
 
 def naive_mul(a: list, b: list, order: int) -> list:
     out = [0] * (order + 1)
+    # every pair of terms, skipping the zero terms of b: a single factor
+    # (1 - q^e) then costs two passes over a
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
+        for j, y in b_terms:
             if i + j <= order:
                 out[i + j] += x * y
     return out
@@ -41,6 +46,18 @@ def naive_pochhammer(a: int, step: int, order: int) -> list:
         out = naive_mul(out, factor, order)
         e += step
     return out
+
+
+def factor_steps(bases: tuple, step: int, order: int) -> list:
+    """Expand the product over b in bases of prod_i (1 - q^(b + i*step)) one
+    factor at a time, each factor one O(order) pass over the list: the
+    O(order^2) reference for the Euler-sum expansions of qseries."""
+    dense = [1] + [0] * order
+    for base in bases:
+        for e in range(base, order + 1, step):
+            # the slice dense[e:] is a copy, so every coefficient reads old values
+            dense[e:] = [x - y for x, y in zip(dense[e:], dense)]
+    return dense
 
 
 def scan_divisor_diff(n: int, R: int, S: int) -> int:
@@ -274,10 +291,20 @@ def test_repr_mentions_leading_terms():
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=25))
+       st.integers(min_value=0, max_value=200))
+@example(1, 1, 200)
 @settings(max_examples=80, deadline=None)
 def test_pochhammer_matches_naive_product(a, step, order):
     assert pochhammer(a, step, order).dense() == naive_pochhammer(a, step, order)
+
+
+def test_pochhammer_matches_factor_steps():
+    # a = step and a != step; order 0 and a - 1 leave no factor at all
+    for a in range(1, 7):
+        for step in range(1, 7):
+            for order in sorted({0, 1, a - 1, a, 40, 151}):
+                assert (pochhammer(a, step, order).dense()
+                        == factor_steps((a,), step, order)), (a, step, order)
 
 
 def test_pochhammer_frozen_values():
@@ -315,6 +342,65 @@ def test_triple_product_matches_naive_factor_product():
                     factor[e] = -1
                     expected = naive_mul(expected, factor, order)
             assert triple_product(R, S, order).dense() == expected, (R, S, order)
+
+
+def test_triple_product_matches_factor_steps():
+    # R = 2S at (2, 1), (4, 2) and (6, 3) gives two bases the same exponents;
+    # order min(S, R - S) - 1 lies below the first factor
+    for R, S in [(2, 1), (4, 2), (6, 3), (3, 1), (5, 2), (7, 5), (8, 3), (9, 1)]:
+        for order in sorted({0, 1, min(S, R - S) - 1, 40, 151}):
+            assert (triple_product(R, S, order).dense()
+                    == factor_steps((S, R - S, R), R, order)), (R, S, order)
+
+
+def test_product_expansions_match_factor_steps_at_benchmark_order():
+    # the heaviest expansions of the sign theorems: the Euler product of
+    # jacobi-cube and the triple products of conjecture, theorem13 and gz
+    N = 3000
+    assert pochhammer(1, 1, N).dense() == factor_steps((1,), 1, N)
+    for R, S in [(3, 1), (5, 2), (7, 5)]:
+        assert (triple_product(R, S, N).dense()
+                == factor_steps((S, R - S, R), R, N)), (R, S)
+
+
+def test_product_expansions_take_no_factor_steps(monkeypatch, capsys):
+    """Timing-free route gate: the product expansions, and the two suites
+    that certify them, never apply a (1 - q^e) factor to a whole list."""
+    def no_factor_steps(dense, e):
+        raise AssertionError(f"factor step (1 - q^{e}) taken")
+
+    monkeypatch.setattr(qseries, "_times_one_minus_list", no_factor_steps)
+    monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
+    trunclab._euler_cubed.cache_clear()
+    assert pochhammer(1, 1, 120).dense() == factor_steps((1,), 1, 120)
+    assert triple_product(5, 2, 120).dense() == factor_steps((2, 3, 5), 5, 120)
+    for argv in (["verify", "pentagonal", "--N", "120"],
+                 ["verify", "pentagonal", "--R", "6", "--S", "3", "--N", "120"],
+                 ["verify", "jacobi-cube", "--N", "120"]):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+
+
+def test_pochhammer_takes_sqrt_many_geometric_steps(monkeypatch):
+    """Timing-free cost gate: (q; q)_inf to order N takes one geometric step
+    per term k >= 1 of Euler's sum, so O(sqrt N) steps, not one per factor.
+    Step k divides by (1 - q^k) a list cut to the N - k(k+1)/2 + 1
+    coefficients that survive the shift of term k, and no longer."""
+    steps = []
+    real = qseries._div_one_minus_list
+
+    def counting(dense, e):
+        steps.append((e, len(dense)))
+        real(dense, e)
+
+    monkeypatch.setattr(qseries, "_div_one_minus_list", counting)
+    for N in (0, 1, 2, 100, 3000):
+        steps.clear()
+        pochhammer(1, 1, N)
+        assert len(steps) <= math.isqrt(2 * N) + 1, (N, len(steps))
+        assert steps == [(k, N - k * (k + 1) // 2 + 1)
+                         for k in range(1, len(steps) + 1)], N
+    assert len(steps) == 76
 
 
 def test_triple_product_frozen_values():
