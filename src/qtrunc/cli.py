@@ -140,8 +140,8 @@ def _coeff_rows(N: int, *series: IntSeries) -> list[tuple]:
 
 
 def _index_sum_rows(nmax: int, k: int | None = None) -> list[tuple]:
-    return [(n, trunclab.index_weighted_sum(n, k), divisor_diff(n, 3, 1))
-            for n in range(1, nmax + 1)]
+    sums = trunclab.index_weighted_sums(nmax, k)
+    return [(n, sums[n], divisor_diff(n, 3, 1)) for n in range(1, nmax + 1)]
 
 
 def _theorem12_rows(n: int, k: int) -> list[tuple]:

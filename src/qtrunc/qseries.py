@@ -12,19 +12,26 @@ Coefficients are stored sparsely (theta-type series have O(sqrt N) terms);
 multiplication and inversion run over dense scratch lists internally.
 
 A product has two kernels, chosen by the number t of nonzero terms of the
-sparser operand:
+sparser operand and the slot width w (in bytes) that Kronecker substitution
+would need for it (_mul_lists):
 
-- t <= _SCHOOLBOOK_MAX_TERMS: the schoolbook loop, t * (N + 1) steps over a
-  dense copy of the other operand. Theta numerators and monomials take
-  this path.
-- otherwise, Kronecker substitution. Each operand is packed into one int,
-  coefficient i in the w-bit slot i; the two ints are multiplied once by
-  CPython; the low N + 1 slots of the product are read back as signed
-  integers, each negative slot borrowing one from the slot above it. The
-  slot width w is a whole number of bytes chosen so that no product
-  coefficient reaches 2^(w-1) in absolute value. The packing goes through
+- t <= _SCHOOLBOOK_MAX_TERMS, or t <= _SCHOOLBOOK_TERMS_PER_BYTE * w: the
+  schoolbook pass (_schoolbook_mul), one slice update per nonzero term,
+  which adds the other operand, times that term, to the output from the
+  term's degree on. That is t list operations at C speed, so its cost
+  grows with t and only slowly with the width. Theta numerators and
+  monomials, (q^R; q^R)_infinity in the triple product and the theta-type
+  blocks over a wide inverse product take this path.
+- otherwise, Kronecker substitution (_kronecker_mul). Each operand is
+  packed into one int, coefficient i in the 8w-bit slot i; the two ints are
+  multiplied once by CPython; the low N + 1 slots of the product are read
+  back as signed integers, each negative slot borrowing one from the slot
+  above it. The slot width w is chosen so that no product coefficient
+  reaches 2^(8w-1) in absolute value. The packing goes through
   int.to_bytes and int.from_bytes with an explicit length and byte order,
-  as Python 3.10 requires.
+  as Python 3.10 requires. Its cost grows with N * w, so it wins when the
+  sparser operand has many terms at a narrow width, as in the cube of the
+  Euler product.
 
 Both kernels give the same exact coefficients; the tests check each
 against a naive list convolution. wang_yee_rhs calls _kronecker_mul on its
@@ -32,7 +39,9 @@ own dense lists, so the slot format stays private to this module.
 
 _times_one_minus_list and _div_one_minus_list multiply and divide a plain
 coefficient list by (1 - q^e) in place: the IntSeries methods and the
-dense sums in trunclab go through them.
+dense sums in trunclab go through them. Both are slice operations; the
+division runs one accumulate per residue class mod e once the list holds
+at least 16 coefficients per class.
 
 The product expansions (pochhammer, triple_product) do not apply their
 factors one by one. _euler_sum expands (q^a; q^s)_infinity by Euler's
@@ -57,9 +66,21 @@ for the check.
 
 from __future__ import annotations
 
-# Largest term count of the sparser operand that still goes to the schoolbook
-# loop; above it, the Kronecker kernel is faster on every shape measured.
+from itertools import accumulate, compress, repeat
+from math import isqrt
+from operator import add, mul, sub
+
+# The schoolbook pass takes a product whose sparser operand has at most
+# _SCHOOLBOOK_MAX_TERMS nonzero terms, or at most _SCHOOLBOOK_TERMS_PER_BYTE
+# times the Kronecker slot width in bytes; Kronecker takes the rest. The
+# width matters: at order 3000, the 64-term theta sum at (3, 1) times its
+# inverse product (26-byte slots) takes 7.8 ms by schoolbook and 39 ms by
+# Kronecker. Over orders 300-3000 and widths 3-40 bytes, the two kernels
+# cost the same at 3.6-22 terms per byte of width; 9 keeps the slower
+# choice within 2.6 times the faster one on that grid (Python 3.11, 2-core
+# host).
 _SCHOOLBOOK_MAX_TERMS = 16
+_SCHOOLBOOK_TERMS_PER_BYTE = 9
 
 
 class IntSeries:
@@ -192,22 +213,7 @@ class IntSeries:
         if not isinstance(other, IntSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        # iterate the sparser operand over a dense copy of the other
-        a, b = self, other
-        if len(b.coeffs) < len(a.coeffs):
-            a, b = b, a
-        if len(a.coeffs) > _SCHOOLBOOK_MAX_TERMS:
-            return IntSeries._from_list(_kronecker_mul(a.dense(n), b.dense(n), n), n)
-        bd = b.dense(n)
-        out = [0] * (n + 1)
-        for da, ca in a.coeffs.items():
-            if da > n:
-                continue
-            for db in range(n - da + 1):
-                cb = bd[db]
-                if cb:
-                    out[da + db] += ca * cb
-        return IntSeries._from_list(out, n)
+        return IntSeries._from_list(_mul_lists(self.dense(n), other.dense(n), n), n)
 
     __rmul__ = __mul__
 
@@ -316,29 +322,75 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
     return [s + (below < 0) for s, below in zip(slots, [0] + slots)]
 
 
+def _product_width(a: list[int], b: list[int]) -> int:
+    """Slot width in bytes that holds every coefficient of the product of
+    two coefficient lists, and every coefficient of each list; 0 when
+    either list is all zero."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    return _slot_width(bound) if bound else 0
+
+
 def _kronecker_mul(a: list[int], b: list[int], n: int) -> list[int]:
     """Coefficients of q^0..q^n of the product of two nonempty coefficient
     lists, by Kronecker substitution (see the module docstring)."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    if not bound:
+    width = _product_width(a, b)
+    if not width:
         return [0] * (n + 1)
-    # |each product coefficient| <= bound, and so is |each coefficient of a
-    # and b|, since neither is all zero
-    width = _slot_width(bound)
     return _unpack(_pack(a, width) * _pack(b, width), width, n + 1)
+
+
+def _schoolbook_mul(sparse: list[int], dense: list[int], n: int) -> list[int]:
+    """Coefficients of q^0..q^n of the product of two coefficient lists, one
+    slice update per nonzero coefficient c at degree d of sparse: c times
+    dense is added to the coefficients from q^d on."""
+    out = [0] * (n + 1)
+    # a term past q^n meets an empty slice and adds nothing
+    for d in compress(range(len(sparse)), sparse):
+        c = sparse[d]
+        end = min(n + 1, d + len(dense))
+        if c == 1:
+            out[d:end] = map(add, out[d:end], dense)
+        elif c == -1:
+            out[d:end] = map(sub, out[d:end], dense)
+        else:
+            out[d:end] = map(add, out[d:end], map(mul, repeat(c), dense))
+    return out
+
+
+def _mul_lists(a: list[int], b: list[int], n: int) -> list[int]:
+    """Coefficients of q^0..q^n of the product of two nonempty coefficient
+    lists, by the kernel that suits their shape (see the module docstring)."""
+    terms_a = len(a) - a.count(0)
+    terms_b = len(b) - b.count(0)
+    if terms_b < terms_a:
+        a, b, terms_a = b, a, terms_b
+    if (terms_a <= _SCHOOLBOOK_MAX_TERMS
+            or terms_a <= _SCHOOLBOOK_TERMS_PER_BYTE * _product_width(a, b)):
+        return _schoolbook_mul(a, b, n)
+    return _kronecker_mul(a, b, n)
 
 
 def _times_one_minus_list(dense: list[int], e: int) -> None:
     """Multiply a coefficient list by (1 - q^e) in place, to its own length."""
-    # the slice dense[e:] is a copy, so every coefficient reads old values
-    dense[e:] = [x - y for x, y in zip(dense[e:], dense)]
+    # the slice dense[e:] is a copy, and the map is consumed before the
+    # assignment, so every coefficient reads old values
+    dense[e:] = map(sub, dense[e:], dense)
 
 
 def _div_one_minus_list(dense: list[int], e: int) -> None:
     """Divide a coefficient list by (1 - q^e) in place, to its own length:
-    the one geometric loop behind every division by (1 - q^e)."""
-    for d in range(e, len(dense)):
-        dense[d] += dense[d - e]
+    the one geometric loop behind every division by (1 - q^e).
+
+    The quotient is a running sum within each residue class mod e. A list
+    of at least 16 e coefficients takes one accumulate per class; a shorter
+    one has too few coefficients per class to pay for the e slice copies.
+    """
+    if len(dense) >= 16 * e:
+        for r in range(e):
+            dense[r::e] = accumulate(dense[r::e])
+    else:
+        for d in range(e, len(dense)):
+            dense[d] += dense[d - e]
 
 
 def _require_window(R: int, S: int) -> None:
@@ -363,10 +415,7 @@ def _euler_sum(a: int, step: int, order: int) -> list[int]:
         del inv[order - e + 1:]
         if k:
             _div_one_minus_list(inv, step * k)
-        if k % 2:
-            acc[e:] = [x - y for x, y in zip(acc[e:], inv)]
-        else:
-            acc[e:] = [x + y for x, y in zip(acc[e:], inv)]
+        acc[e:] = map(sub if k % 2 else add, acc[e:], inv)
         e += a + step * k
         k += 1
     return acc
@@ -378,7 +427,7 @@ def pochhammer(a: int, step: int, order: int) -> IntSeries:
     The product is expanded by Euler's distinct-parts sum (``_euler_sum``),
     about sqrt(2 order / step) geometric steps over one running list, so
     O(order^1.5) list operations instead of one O(order) step per factor.
-    ``pochhammer(1, 1, 20000)`` takes about 0.6 s (Python 3.11, 2-core host).
+    ``pochhammer(1, 1, 20000)`` takes about 0.4 s (Python 3.11, 2-core host).
     A factor whose exponent exceeds the order contributes nothing, so
     a > order gives the constant series 1.
     """
@@ -393,17 +442,20 @@ def triple_product(R: int, S: int, order: int) -> IntSeries:
     """(q^S, q^(R-S), q^R; q^R)_infinity truncated to the given order.
 
     Three Euler sums (see ``pochhammer``), for (q^S; q^R), (q^(R-S); q^R)
-    and (q^R; q^R), joined by two Kronecker products. Each sum is
-    O(order^1.5). The limit is the products: the triple's coefficients are
-    small, but the partial products' are not (up to 67 bits for (q; q^3)
-    and 86 bits for (q, q^2; q^3) at order 3000, 150 bits for (q^2; q^5)
-    at order 20000), so both products pack wide slots and dominate at large
-    order. ``triple_product(5, 2, 20000)`` takes about 5 s and
-    ``triple_product(3, 1, 20000)`` about 7 s (Python 3.11, 2-core host).
+    and (q^R; q^R). Each sum is O(order^1.5). The first two are dense and
+    are joined by one Kronecker product; (q^R; q^R) has only about
+    2 sqrt(2 order / 3R) nonzero terms, so ``_mul_lists`` multiplies it in
+    by the schoolbook pass. The limit is the Kronecker product: the
+    triple's coefficients are small, but the partial products' are not (up
+    to 67 bits for (q; q^3) and 86 bits for (q, q^2; q^3) at order 3000,
+    150 bits for (q^2; q^5) at order 20000), so it packs wide slots and
+    dominates at large order. ``triple_product(5, 2, 20000)`` takes about
+    2.6 s and ``triple_product(3, 1, 20000)`` about 3.9 s (Python 3.11,
+    2-core host).
     """
     _require_window(R, S)
     dense = _kronecker_mul(_euler_sum(S, R, order), _euler_sum(R - S, R, order), order)
-    dense = _kronecker_mul(dense, _euler_sum(R, R, order), order)
+    dense = _mul_lists(dense, _euler_sum(R, R, order), order)
     return IntSeries._from_list(dense, order)
 
 
@@ -442,13 +494,21 @@ def bilateral_theta(R: int, S: int, order: int, k: int | None = None) -> IntSeri
 
 def lambert_diff(R: int, S: int, order: int) -> IntSeries:
     """Series whose q^m coefficient counts divisors of m that are S mod R
-    minus those that are (R-S) mod R."""
+    minus those that are (R-S) mod R.
+
+    Each pair m = d e with d in the residue class is counted once, by one
+    slice update: per divisor d <= sqrt(order) over all its multiples, and
+    per cofactor e over the m = d e with d > sqrt(order), which step by
+    R e. That is O(sqrt(order)) slices, where one slice per divisor would
+    be O(order) and slower than a loop over the multiples.
+    """
     _require_window(R, S)
     dense = [0] * (order + 1)
-    for d in range(S, order + 1, R):
-        for mult in range(d, order + 1, d):
-            dense[mult] += 1
-    for d in range(R - S, order + 1, R):
-        for mult in range(d, order + 1, d):
-            dense[mult] -= 1
+    root = isqrt(order)
+    for c, op in ((S, add), (R - S, sub)):
+        for d in range(c, root + 1, R):
+            dense[d::d] = map(op, dense[d::d], repeat(1))
+        first = c + R * ((root - c) // R + 1)  # the least d > root in the class
+        for e in range(1, order // first + 1):
+            dense[first * e::R * e] = map(op, dense[first * e::R * e], repeat(1))
     return IntSeries._from_list(dense, order)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator
 
 from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
@@ -293,22 +294,26 @@ def theorem13_check(P: TruncParams) -> CheckReport:
     return report
 
 
-def index_weighted_sum(n: int, k: int | None = None) -> int:
-    """Sum of (-1)^j j p(n - gpn(j)) over the j with gpn(j) <= n, restricted
-    to -k <= j < k when k is given.
+def index_weighted_sums(nmax: int, k: int | None = None) -> list[int]:
+    """For every 0 <= n <= nmax, the sum of (-1)^j j p(n - gpn(j)) over the
+    j with gpn(j) <= n, restricted to -k <= j < k when k is given.
 
-    gpn(j) grows with |j| on each side of 0, so j walks outward from 0 in
-    both directions and stops at the first gpn(j) > n: O(sqrt(n)) terms.
+    p(0..nmax) is read once. Each j then adds (-1)^j j p(m) to every
+    entry n = m + gpn(j) in one slice update. gpn(j) grows with |j| on each
+    side of 0, so j walks outward from 0 in both directions and stops at
+    the first gpn(j) > nmax: O(sqrt(nmax)) slice updates of O(nmax) each.
     """
-    total = 0
-    for j, step in ((0, 1), (-1, -1)):
+    p = [p_euler(n) for n in range(nmax + 1)]
+    sums = [0] * (nmax + 1)
+    # j = 0 has weight 0
+    for j, step in ((1, 1), (-1, -1)):
         while k is None or -k <= j < k:
             g = gpn(j)
-            if g > n:
+            if g > nmax:
                 break
-            total += _sign(j) * j * p_euler(n - g)
+            sums[g:] = map(add, sums[g:], map(mul, repeat(_sign(j) * j), p))
             j += step
-    return total
+    return sums
 
 
 def corollary14_report(k: int, nmax: int) -> CheckReport:
@@ -320,8 +325,9 @@ def corollary14_report(k: int, nmax: int) -> CheckReport:
     direction = ">=" if k % 2 == 1 else "<="
     report = CheckReport("corollary14", {"k": k, "nmax": nmax, "direction": direction})
     diffs = lambert_diff(3, 1, nmax).dense()
+    sums = index_weighted_sums(nmax, k)
     for n in range(1, nmax + 1):
-        lhs = index_weighted_sum(n, k)
+        lhs = sums[n]
         rhs = diffs[n]
         if (k % 2 == 1 and lhs < rhs) or (k % 2 == 0 and lhs > rhs):
             report.add(n, f"{direction} {rhs}", lhs)
@@ -334,8 +340,9 @@ def recurrence_check(nmax: int) -> CheckReport:
     if nmax < 1:
         raise ValueError(f"nmax must be positive, got {nmax}")
     report = CheckReport("recurrence117", {"nmax": nmax})
+    sums = index_weighted_sums(nmax)
     for n in range(1, nmax + 1):
-        lhs = index_weighted_sum(n)
+        lhs = sums[n]
         rhs = divisor_diff(n, 3, 1)
         if lhs != rhs:
             report.add(n, rhs, lhs)

@@ -167,6 +167,11 @@ def test_kronecker_kernel_matches_naive_convolution(xs, ys):
 
 
 def test_mul_switches_kernel_above_crossover(monkeypatch):
+    """The calibrated rule: the schoolbook pass takes a product whose
+    sparser operand has t <= 16 nonzero terms, or t <= 9 w for the
+    Kronecker slot width of w bytes the product would need; Kronecker
+    substitution takes the rest. The shapes are written out, not read from
+    the module, so that moving either constant fails here."""
     calls = []
     kernel = qseries._kronecker_mul
 
@@ -175,14 +180,27 @@ def test_mul_switches_kernel_above_crossover(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(qseries, "_kronecker_mul", counting)
-    limit = qseries._SCHOOLBOOK_MAX_TERMS
-    dense = list(range(1, 3 * limit))
-    for terms, used in ((limit, False), (limit + 1, True)):
+    # (terms, dense coefficient, dense length, slot width, Kronecker?)
+    shapes = (
+        (1, 1, 60, 1, False),          # a monomial
+        (16, 1, 60, 1, False),         # few terms
+        (17, 1, 60, 1, True),          # past 16 terms at width 1 (9 w = 9)
+        (18, 2 ** 8, 60, 2, False),    # middle band: t = 9 w at width 2
+        (19, 2 ** 8, 60, 2, True),
+        (40, 2 ** 8, 60, 2, True),     # many terms at narrow width
+        (36, 2 ** 20, 120, 4, False),  # t = 9 w at width 4
+        (37, 2 ** 20, 120, 4, True),
+        (81, 2 ** 60, 120, 9, False),  # t = 9 w at width 9
+        (82, 2 ** 60, 120, 9, True),
+    )
+    for terms, c, length, width, used in shapes:
+        xs = [(-1) ** i for i in range(terms)] + [0] * (length - terms)
+        dense = [c * (-1) ** (i // 2) for i in range(length)]
+        assert qseries._product_width(xs, dense) == width, (terms, width)
         calls.clear()
-        xs = [(-1) ** i * (i + 1) for i in range(terms)] + [0] * (len(dense) - terms)
         product = IntSeries.from_dense(xs) * IntSeries.from_dense(dense)
-        assert product.dense() == naive_mul(xs, dense, len(dense) - 1)
-        assert bool(calls) is used
+        assert product.dense() == naive_mul(xs, dense, length - 1), (terms, width)
+        assert bool(calls) is used, (terms, width)
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)

@@ -1,0 +1,189 @@
+"""The slice kernels against the per-coefficient loops they replaced.
+
+The schoolbook product, the geometric step, the divisor sieve of
+lambert_diff and the index-weighted partition sums each do one C-level
+slice operation per sparse term, residue class, divisor or cofactor, or
+index j. The functions below are the loops they replaced, one Python step
+per coefficient, kept as the reference: every result must be equal,
+element for element. The timing-free gates count p(n) reads and Kronecker
+products at the benchmark's points, and which route the geometric step
+takes.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qtrunc import qseries, trunclab
+from qtrunc.partitions import gpn, p_euler
+from qtrunc.qseries import (
+    _div_one_minus_list,
+    _mul_lists,
+    _schoolbook_mul,
+    lambert_diff,
+    triple_product,
+)
+from qtrunc.trunclab import corollary14_report, index_weighted_sums, recurrence_check
+
+
+def loop_schoolbook(sparse: list, dense: list, n: int) -> list:
+    """The schoolbook loop of IntSeries.__mul__: every nonzero term of
+    sparse times every nonzero coefficient of dense, one addition each, over
+    both lists padded with zeros to n + 1 coefficients."""
+    bd = (dense + [0] * (n + 1))[:n + 1]
+    out = [0] * (n + 1)
+    for da, ca in enumerate(sparse):
+        if not ca or da > n:
+            continue
+        for db in range(n - da + 1):
+            cb = bd[db]
+            if cb:
+                out[da + db] += ca * cb
+    return out
+
+
+def loop_div_one_minus(dense: list, e: int) -> list:
+    """Division by (1 - q^e) one element at a time, on a copy."""
+    out = list(dense)
+    for d in range(e, len(out)):
+        out[d] += out[d - e]
+    return out
+
+
+def nested_lambert_diff(R: int, S: int, order: int) -> list:
+    """lambert_diff's coefficients, one increment per multiple of each divisor."""
+    dense = [0] * (order + 1)
+    for d in range(S, order + 1, R):
+        for mult in range(d, order + 1, d):
+            dense[mult] += 1
+    for d in range(R - S, order + 1, R):
+        for mult in range(d, order + 1, d):
+            dense[mult] -= 1
+    return dense
+
+
+def per_n_index_weighted_sum(n: int, k: int | None = None) -> int:
+    """One entry of index_weighted_sums, by its own outward j-walk."""
+    total = 0
+    for j, step in ((0, 1), (-1, -1)):
+        while k is None or -k <= j < k:
+            g = gpn(j)
+            if g > n:
+                break
+            total += (1 if j % 2 == 0 else -1) * j * p_euler(n - g)
+            j += step
+    return total
+
+
+# zeros, +-1, small and very wide coefficients, each equally likely
+coefficients = st.one_of(st.just(0), st.sampled_from((1, -1)),
+                         st.integers(min_value=-3, max_value=3),
+                         st.integers(min_value=-(2 ** 400), max_value=2 ** 400))
+
+
+@given(st.integers(min_value=0, max_value=40),
+       st.lists(coefficients, min_size=1, max_size=45),
+       st.lists(coefficients, min_size=1, max_size=45))
+@settings(max_examples=300, deadline=None)
+@example(0, [1], [5])
+@example(0, [0, -1], [2 ** 400])
+@example(9, [0, 0, -1], [3] * 10)
+@example(12, [1, 0, -1, 2 ** 300], [1] * 3)
+def test_schoolbook_mul_matches_per_coefficient_loop(n, sparse, dense):
+    """Order 0, operands shorter and longer than n + 1, and each branch of
+    the slice update (+1, -1, any other coefficient)."""
+    expected = loop_schoolbook(sparse, dense, n)
+    assert _schoolbook_mul(sparse, dense, n) == expected
+    assert _mul_lists(sparse, dense, n) == expected
+    assert _mul_lists(dense, sparse, n) == expected
+
+
+@given(st.lists(st.integers(min_value=-(2 ** 70), max_value=2 ** 70), max_size=70),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_div_one_minus_list_matches_per_element_loop(dense, e):
+    expected = loop_div_one_minus(dense, e)
+    _div_one_minus_list(dense, e)
+    assert dense == expected
+
+
+def test_div_one_minus_list_edges_and_route(monkeypatch):
+    """e = 1, e >= len, len 0 and 1, and both sides of 16 e: the residue
+    path takes one accumulate per class, exactly when the list holds at
+    least 16 coefficients per class."""
+    calls = []
+    real = qseries.accumulate
+
+    def counting(values):
+        calls.append(1)
+        return real(values)
+
+    monkeypatch.setattr(qseries, "accumulate", counting)
+    for e in range(1, 8):
+        for length in sorted({0, 1, e - 1, e, e + 1, 16 * e - 1, 16 * e, 16 * e + 1}):
+            dense = [(-1) ** i * (i * i + 3) for i in range(length)]
+            expected = loop_div_one_minus(dense, e)
+            calls.clear()
+            _div_one_minus_list(dense, e)
+            assert dense == expected, (e, length)
+            assert len(calls) == (e if length >= 16 * e else 0), (e, length)
+
+
+def test_lambert_diff_matches_nested_divisor_loops():
+    """Every order up to 40 puts sqrt(order), and the least divisor above
+    it in each class, on both sides of each residue."""
+    for R in range(2, 8):
+        for S in range(1, R):
+            for order in [*range(41), 97, 100, 2000]:
+                assert (lambert_diff(R, S, order).dense()
+                        == nested_lambert_diff(R, S, order)), (R, S, order)
+
+
+def test_index_weighted_sums_match_per_n_walk_and_full_scan():
+    """Each entry against its own outward j-walk and against the scan over
+    every j in [-n-1, n+1] (or -k <= j < k)."""
+    for k in (1, 2, 5, None):
+        sums = index_weighted_sums(300, k)
+        assert len(sums) == 301
+        assert sums == [per_n_index_weighted_sum(n, k) for n in range(301)], k
+        assert index_weighted_sums(0, k) == [0]
+        for n in range(301):
+            js = range(-n - 1, n + 2) if k is None else range(-k, k)
+            full = sum((j if j % 2 == 0 else -j) * p_euler(n - gpn(j)) for j in js)
+            assert sums[n] == full, (n, k)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_index_sums_read_each_partition_count_once(monkeypatch):
+    """Timing-free gate: corollary14_report and recurrence_check read p(n)
+    at most nmax + 1 times, at the benchmark's points, instead of once per
+    (n, j) pair."""
+    reads = _count_calls(monkeypatch, trunclab, "p_euler")
+    for k in range(1, 7):
+        reads.clear()
+        assert corollary14_report(k, 2000).passed, k
+        assert len(reads) <= 2001, (k, len(reads))
+    reads.clear()
+    assert recurrence_check(1200).passed
+    assert len(reads) <= 1201
+
+
+def test_triple_product_forms_one_kronecker_product(monkeypatch):
+    """Timing-free gate: the triple product multiplies its two dense Euler
+    sums by Kronecker substitution, and the sparse (q^R; q^R)_inf into that
+    by the schoolbook pass, at the benchmark's order."""
+    products = _count_calls(monkeypatch, qseries, "_kronecker_mul")
+    for R, S in [(3, 1), (5, 2), (7, 5)]:
+        products.clear()
+        triple_product(R, S, 3000)
+        assert len(products) == 1, (R, S)

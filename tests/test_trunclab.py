@@ -25,7 +25,6 @@ from qtrunc import (
     gz_series,
     i_series,
     i_series_closed,
-    index_weighted_sum,
     jacobi_cube_check,
     m_k,
     mao_check,
@@ -337,18 +336,6 @@ def test_recurrence_holds_with_equality():
     assert recurrence_check(120).passed
     with pytest.raises(ValueError):
         recurrence_check(0)
-
-
-def test_index_weighted_sum_matches_full_range_scan():
-    """The outward j-walk against the scan over every j in [-n-1, n+1]."""
-    for n in range(0, 301):
-        full = sum((j if j % 2 == 0 else -j) * p_euler(n - gpn(j))
-                   for j in range(-n - 1, n + 2) if gpn(j) <= n)
-        assert index_weighted_sum(n) == full, n
-        for k in (1, 2, 5):
-            partial = sum((j if j % 2 == 0 else -j) * p_euler(n - gpn(j))
-                          for j in range(-k, k))
-            assert index_weighted_sum(n, k) == partial, (n, k)
 
 
 def test_f_series_frozen_values():
