@@ -8,8 +8,11 @@ coefficient beyond the order raises instead of returning 0. That contract
 is what makes every ``is this coefficient nonnegative`` verdict in the
 package sound.
 
-Coefficients are stored sparsely (theta-type series have O(sqrt N) terms);
-multiplication and inversion run over dense scratch lists internally.
+An IntSeries stores one list of order + 1 ints, q^0 first, and every
+kernel below reads and writes such lists, so no operation converts between
+storage formats. A theta-type sum has only O(sqrt N) nonzero terms but
+still takes N + 1 slots; the kernels find its nonzero degrees with
+itertools.compress.
 
 A product has two kernels, chosen by the number t of nonzero terms of the
 sparser operand and the slot width w (in bytes) that Kronecker substitution
@@ -59,9 +62,9 @@ theta sum.
 
 Coefficients must be of type int; bool is rejected too, since a bool
 coefficient is almost always a comparison result that leaked in. The public
-constructors check every key and value. Results computed inside this module
-are built by ``_make``, which checks nothing, so arithmetic pays nothing
-for the check.
+constructors check every key and value. Results computed inside the package
+are wrapped by ``_from_list``, which checks nothing and takes ownership of
+its list, so arithmetic pays nothing for the check.
 """
 
 from __future__ import annotations
@@ -86,16 +89,21 @@ _SCHOOLBOOK_TERMS_PER_BYTE = 9
 class IntSeries:
     """A power series with integer coefficients, exact to a fixed order.
 
-    Instances are treated as immutable: no public operation mutates
-    ``coeffs``, so series may be shared freely (memo caches rely on this).
+    The coefficients of q^0 .. q^order are stored as one list of order + 1
+    ints, so every kernel reads and writes it without conversion. A sparse
+    sum holds all N + 1 slots too: about 24 kB at N = 3000 (one 8-byte
+    pointer per slot; the zeros share one int object).
+
+    Instances are treated as immutable: no public operation mutates the
+    list, so series may be shared freely (memo caches rely on this).
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("_dense", "order")
 
     def __init__(self, coeffs: dict[int, int], order: int):
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
-        kept = {}
+        dense = [0] * (order + 1)
         for d, c in coeffs.items():
             if type(d) is not int or type(c) is not int:
                 raise ValueError(
@@ -103,24 +111,20 @@ class IntSeries:
                 )
             if d < 0:
                 raise ValueError(f"negative degree {d} in coefficient map")
-            if c and d <= order:
-                kept[d] = c
-        self.coeffs = kept
+            if d <= order:
+                dense[d] = c
+        self._dense = dense
         self.order = order
 
     @classmethod
-    def _make(cls, coeffs: dict[int, int], order: int) -> IntSeries:
-        """Wrap a coefficient map computed in this module, unchecked: int
-        degrees in 0..order mapped to nonzero int coefficients."""
+    def _from_list(cls, dense: list[int], order: int) -> IntSeries:
+        """Wrap a list of order + 1 ints computed in this package,
+        unchecked. The series takes ownership: the caller must not mutate
+        the list afterwards."""
         series = object.__new__(cls)
-        series.coeffs = coeffs
+        series._dense = dense
         series.order = order
         return series
-
-    @classmethod
-    def _from_list(cls, dense: list[int], order: int) -> IntSeries:
-        """Unchecked counterpart of from_dense for computed int lists."""
-        return cls._make({d: c for d, c in enumerate(dense) if c}, order)
 
     @classmethod
     def from_dense(cls, dense: list[int], order: int | None = None) -> IntSeries:
@@ -136,17 +140,22 @@ class IntSeries:
     def zero(cls, order: int) -> IntSeries:
         return cls({}, order)
 
+    @property
+    def coeffs(self) -> dict[int, int]:
+        """The nonzero coefficients as a fresh {degree: coefficient} dict.
+
+        It is rebuilt on every read, so the package itself reads ``dense``
+        and ``coeff`` instead.
+        """
+        return {d: c for d, c in enumerate(self._dense) if c}
+
     def dense(self, upto: int | None = None) -> list[int]:
         """Coefficients of q^0..q^upto as a fresh list (upto defaults to order)."""
         if upto is None:
             upto = self.order
         if upto > self.order:
             raise ValueError(f"coefficients beyond order {self.order} are unknown")
-        out = [0] * (upto + 1)
-        for d, c in self.coeffs.items():
-            if d <= upto:
-                out[d] = c
-        return out
+        return self._dense[:max(upto + 1, 0)]
 
     def coeff(self, n: int) -> int:
         """Exact coefficient of q^n. Beyond the order it is unknown, not zero."""
@@ -156,46 +165,37 @@ class IntSeries:
             raise ValueError(
                 f"coefficient of q^{n} requested but series is only valid to order {self.order}"
             )
-        return self.coeffs.get(n, 0)
+        return self._dense[n]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        # the list holds order + 1 coefficients, so equal lists have equal orders
+        return self._dense == other._dense
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.coeffs.items())))
+        return hash(tuple(self._dense))
 
     def __repr__(self) -> str:
-        terms = sorted(self.coeffs.items())[:6]
-        shown = " ".join(f"{c:+d}q^{d}" for d, c in terms) or "0"
-        suffix = " ..." if len(self.coeffs) > 6 else ""
+        terms = [(d, c) for d, c in enumerate(self._dense) if c]
+        shown = " ".join(f"{c:+d}q^{d}" for d, c in terms[:6]) or "0"
+        suffix = " ..." if len(terms) > 6 else ""
         return f"IntSeries({shown}{suffix}, order={self.order})"
 
-    def _combine(self, other: IntSeries, sign: int) -> IntSeries:
-        n = min(self.order, other.order)
-        if self.order == n:
-            out = dict(self.coeffs)
-        else:
-            out = {d: c for d, c in self.coeffs.items() if d <= n}
-        for d, c in other.coeffs.items():
-            if d <= n:
-                c = out.get(d, 0) + sign * c
-                if c:
-                    out[d] = c
-                else:
-                    del out[d]
-        return IntSeries._make(out, n)
+    def _combine(self, other: IntSeries, op) -> IntSeries:
+        # map stops at the shorter list, so the result has the smaller order
+        return IntSeries._from_list(list(map(op, self._dense, other._dense)),
+                                    min(self.order, other.order))
 
     def __add__(self, other: IntSeries) -> IntSeries:
         if not isinstance(other, IntSeries):
             return NotImplemented
-        return self._combine(other, 1)
+        return self._combine(other, add)
 
     def __sub__(self, other: IntSeries) -> IntSeries:
         if not isinstance(other, IntSeries):
             return NotImplemented
-        return self._combine(other, -1)
+        return self._combine(other, sub)
 
     def __neg__(self) -> IntSeries:
         return self.scale(-1)
@@ -203,9 +203,7 @@ class IntSeries:
     def scale(self, c: int) -> IntSeries:
         if type(c) is not int:
             raise ValueError(f"scale factor must be int, got {c!r}")
-        if not c:
-            return IntSeries._make({}, self.order)
-        return IntSeries._make({d: c * v for d, v in self.coeffs.items()}, self.order)
+        return IntSeries._from_list([c * v for v in self._dense], self.order)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -213,7 +211,8 @@ class IntSeries:
         if not isinstance(other, IntSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return IntSeries._from_list(_mul_lists(self.dense(n), other.dense(n), n), n)
+        return IntSeries._from_list(
+            _mul_lists(self._dense[:n + 1], other._dense[:n + 1], n), n)
 
     __rmul__ = __mul__
 
@@ -227,12 +226,12 @@ class IntSeries:
 
     def invert(self) -> IntSeries:
         """Multiplicative inverse; requires constant coefficient 1 or -1."""
-        c0 = self.coeffs.get(0, 0)
+        a = self._dense
+        c0 = a[0]
         if c0 not in (1, -1):
             raise ValueError(f"cannot invert series with constant coefficient {c0}")
         n = self.order
-        a = self.dense()
-        nz = sorted(d for d in self.coeffs if d >= 1)
+        nz = list(compress(range(1, n + 1), a[1:]))
         b = [0] * (n + 1)
         b[0] = c0
         for m in range(1, n + 1):
@@ -252,26 +251,23 @@ class IntSeries:
         coefficient below q^|e| to vanish.
         """
         if e >= 0:
-            return IntSeries._make({d + e: c for d, c in self.coeffs.items()},
-                                   self.order + e)
+            return IntSeries._from_list([0] * e + self._dense, self.order + e)
         drop = -e
         if drop > self.order:
             raise ValueError(f"cannot shift down by {drop}: order is {self.order}")
-        for d, c in self.coeffs.items():
-            if d < drop and c:
+        for d in range(drop):
+            if self._dense[d]:
                 raise ValueError(
                     f"cannot divide by q^{drop}: nonzero coefficient at q^{d}"
                 )
-        return IntSeries._make({d - drop: c for d, c in self.coeffs.items()},
-                               self.order - drop)
+        return IntSeries._from_list(self._dense[drop:], self.order - drop)
 
     def truncate(self, order: int) -> IntSeries:
         if order > self.order:
             raise ValueError(f"cannot extend validity from {self.order} to {order}")
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
-        return IntSeries._make({d: c for d, c in self.coeffs.items() if d <= order},
-                               order)
+        return IntSeries._from_list(self._dense[:order + 1], order)
 
     def times_one_minus(self, e: int) -> IntSeries:
         """Multiply by (1 - q^e) in O(order) time."""
@@ -471,13 +467,15 @@ def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,
     """
     if R < 0 or R + b < 1 or c < 0:
         raise ValueError(f"need R >= 0, R + b >= 1 and c >= 0, got R={R}, b={b}, c={c}")
-    coeffs: dict[int, int] = {}
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    dense = [0] * (order + 1)
     j, e = 0, c
     while e <= order and (terms is None or j < terms):
-        coeffs[e] = (u * j + v) * (1 if j % 2 == 0 else -1)
+        dense[e] = (u * j + v) * (1 if j % 2 == 0 else -1)
         j += 1
         e += R * j + b
-    return IntSeries(coeffs, order)
+    return IntSeries._from_list(dense, order)
 
 
 def bilateral_theta(R: int, S: int, order: int, k: int | None = None) -> IntSeries:

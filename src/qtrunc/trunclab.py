@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul
+from itertools import compress, repeat
+from operator import add, mul, ne
 from typing import Iterator
 
 from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
@@ -93,21 +93,13 @@ def _add_shifted(acc: list[int], src: list[int], e: int) -> None:
 
 def _diff_degrees(a: IntSeries, b: IntSeries) -> list[int]:
     n = min(a.order, b.order)
-    degs = set()
-    for d, c in a.coeffs.items():
-        if d <= n and b.coeffs.get(d, 0) != c:
-            degs.add(d)
-    for d, c in b.coeffs.items():
-        if d <= n and a.coeffs.get(d, 0) != c:
-            degs.add(d)
-    return sorted(degs)
+    return list(compress(range(n + 1), map(ne, a.dense(n), b.dense(n))))
 
 
 def _negative_coeffs(series: IntSeries, n0: int) -> Iterator[tuple[int, int]]:
     """(degree, coefficient) of each negative coefficient of q^n0 .. q^order,
     lowest degree first: the scan behind every sign claim."""
-    for n in range(n0, series.order + 1):
-        c = series.coeffs.get(n, 0)
+    for n, c in enumerate(series.dense()[n0:], n0):
         if c < 0:
             yield n, c
 

@@ -180,18 +180,18 @@ def test_mao_series_objects_do_not_grow_with_order(monkeypatch):
     whatever N / R, because its sums run over dense scratch lists."""
     built = []
     init = IntSeries.__init__
-    make = IntSeries._make
+    from_list = IntSeries._from_list
 
     def counting_init(self, *args):
         built.append(1)
         init(self, *args)
 
-    def counting_make(cls, *args):
+    def counting_from_list(cls, *args):
         built.append(1)
-        return make(*args)
+        return from_list(*args)
 
     monkeypatch.setattr(IntSeries, "__init__", counting_init)
-    monkeypatch.setattr(IntSeries, "_make", classmethod(counting_make))
+    monkeypatch.setattr(IntSeries, "_from_list", classmethod(counting_from_list))
     counts = []
     for N in (120, 480):
         trunclab._euler.cache_clear()

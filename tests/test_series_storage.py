@@ -1,0 +1,196 @@
+"""IntSeries on its one storage, a list of order + 1 coefficients.
+
+The dict-backed class it replaced is kept in ``tests/dict_series.py`` as
+the oracle: every operation must give the same coefficients, the same
+order and the same error message. The gates check that the package reads
+no series through the ``coeffs`` view, which rebuilds a dict on each read,
+and that every series it builds holds exactly order + 1 coefficients.
+"""
+
+import contextlib
+import io
+import os
+import re
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dict_series import DictSeries
+from qtrunc import cli, partitions, trunclab
+from qtrunc.qseries import IntSeries
+from qtrunc.trunclab import _diff_degrees, _negative_coeffs
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "qtrunc")
+
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-2**80, 2**80))
+# degrees run past the order, and the map holds zero entries, so the
+# constructor's dropping is exercised; sorted, so the oracle's dict order
+# (which picks the degree its shift error names) is ascending
+coeff_maps = st.dictionaries(st.integers(0, 30), coefficients, max_size=12).map(
+    lambda m: dict(sorted(m.items())))
+orders = st.integers(0, 25)
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the type and text of its ValueError."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def same(new, old) -> bool:
+    if isinstance(old, tuple):  # an error
+        return new == old
+    return (type(new) is IntSeries and new.order == old.order
+            and new.coeffs == old.coeffs and new.dense() == old.dense()
+            and repr(new) == repr(old))
+
+
+def pair(coeffs: dict, order: int) -> tuple[IntSeries, DictSeries]:
+    return IntSeries(coeffs, order), DictSeries(coeffs, order)
+
+
+@given(coeff_maps, orders)
+@settings(max_examples=200, deadline=None)
+@example({0: 5, 3: 0, 9: 7}, 4)
+def test_constructor_drops_zeros_and_degrees_past_the_order(coeffs, order):
+    new, old = pair(coeffs, order)
+    assert same(new, old)
+    assert new.coeffs == {d: c for d, c in coeffs.items() if c and d <= order}
+    assert len(new.dense()) == order + 1
+    dense = [coeffs.get(d, 0) for d in range(order + 1)]
+    assert same(IntSeries.from_dense(dense), DictSeries.from_dense(dense))
+    assert same(IntSeries.from_dense(dense, order + 3),
+                DictSeries.from_dense(dense, order + 3))
+
+
+@pytest.mark.parametrize("coeffs, order", [
+    ({0: True}, 2), ({1: False}, 2), ({True: 1}, 2), ({0: 1, 2: 0.5}, 4),
+    ({1.0: 1}, 2), ({-2: 1}, 5), ({0: 1}, -1), ({0: 1, 9: True}, 3),
+])
+def test_constructor_rejects_what_the_oracle_rejects(coeffs, order):
+    new = outcome(IntSeries, coeffs, order)
+    assert new == outcome(DictSeries, coeffs, order)
+    assert new[0] is ValueError
+
+
+@given(coeff_maps, orders, coeff_maps, orders,
+       st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)))
+@settings(max_examples=300, deadline=None)
+@example({1: 2}, 5, {1: -2, 4: 1}, 3, 0)
+def test_arithmetic_matches_the_dict_oracle(ca, oa, cb, ob, c):
+    a, da = pair(ca, oa)
+    b, db = pair(cb, ob)
+    assert same(a + b, da + db)
+    assert same(a - b, da - db)
+    assert same(b - a, db - da)
+    assert same(-a, -da)
+    assert same(a.scale(c), da.scale(c))
+    assert same(a.scale(0), da.scale(0))
+    assert same(a * c, da * c)
+    assert same(a * b, da * db)
+    assert same(b * a, db * da)
+    assert outcome(a.scale, True) == outcome(da.scale, True)
+    assert (a == b) == (da == db)
+    assert (a == a.truncate(oa)) and not (a == a.shifted(1))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert hash(a) == hash(IntSeries(ca, oa))
+
+
+@given(coeff_maps, orders)
+@settings(max_examples=300, deadline=None)
+@example({0: 1, 2: 3}, 4)
+@example({3: 1}, 5)
+@example({1: 4, 3: 1}, 6)
+def test_reads_shifts_and_cuts_match_the_dict_oracle(coeffs, order):
+    new, old = pair(coeffs, order)
+    for n in range(-1, order + 2):
+        assert outcome(new.coeff, n) == outcome(old.coeff, n)
+        assert same(outcome(new.truncate, n), outcome(old.truncate, n))
+    for upto in range(-3, order + 2):
+        assert outcome(new.dense, upto) == outcome(old.dense, upto)
+    # downward past the order, over a nonzero coefficient, and upward
+    for e in range(-order - 3, 6):
+        assert same(outcome(new.shifted, e), outcome(old.shifted, e))
+
+
+@given(coeff_maps, orders, st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_invert_matches_the_dict_oracle(coeffs, order, c0):
+    coeffs = {**coeffs, 0: c0}
+    new, old = pair(coeffs, order)
+    assert same(new.invert(), old.invert())
+    assert (new * new.invert()) == IntSeries.one(order)
+    broken = {**coeffs, 0: 2}
+    assert outcome(IntSeries(broken, order).invert) == \
+        outcome(DictSeries(broken, order).invert)
+
+
+def dict_diff_degrees(a: IntSeries, b: IntSeries) -> list[int]:
+    """The degrees up to the smaller order where a and b differ, from the
+    two coefficient maps, as the dict storage computed them."""
+    n = min(a.order, b.order)
+    return sorted({d for d in a.coeffs.keys() | b.coeffs.keys()
+                   if d <= n and a.coeffs.get(d, 0) != b.coeffs.get(d, 0)})
+
+
+@given(coeff_maps, orders, coeff_maps, orders, st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+@example({5: 1}, 5, {}, 5, 0)
+@example({}, 7, {5: -1}, 5, 1)
+def test_scans_match_the_coefficient_maps(ca, oa, cb, ob, n0):
+    a, b = IntSeries(ca, oa), IntSeries(cb, ob)
+    assert _diff_degrees(a, b) == dict_diff_degrees(a, b)
+    assert list(_negative_coeffs(b, n0)) == sorted(
+        (d, c) for d, c in b.coeffs.items() if d >= n0 and c < 0)
+
+
+def clear_memos():
+    for module in (trunclab, partitions):
+        for f in list(vars(module).values()):
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+
+
+def test_the_package_reads_no_series_through_the_coeffs_view(monkeypatch):
+    """Timing-free gate: every suite's verify and table run, at their
+    defaults, with the coeffs view raising and every built list's length
+    checked against its order."""
+
+    def forbidden(self):
+        raise AssertionError("IntSeries.coeffs read inside the package")
+
+    wrong_length = []
+    from_list = IntSeries._from_list
+
+    def checked_from_list(cls, dense, order):
+        if len(dense) != order + 1:
+            wrong_length.append((len(dense), order))
+        return from_list(dense, order)
+
+    monkeypatch.setattr(IntSeries, "coeffs", property(forbidden))
+    monkeypatch.setattr(IntSeries, "_from_list", classmethod(checked_from_list))
+    clear_memos()
+    try:
+        for name, suite in cli.SUITES.items():
+            for command in ["verify"] + (["table"] if suite.table else []):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([command, name])
+                assert code == 0, (command, name)
+    finally:
+        clear_memos()
+    assert wrong_length == []
+
+
+def test_no_module_in_the_package_names_the_coeffs_view():
+    """The static half of the gate, for code the suites' defaults do not
+    reach: no source line under src/qtrunc reads ``.coeffs``."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                assert not re.search(r"\.coeffs\b", fh.read()), name
