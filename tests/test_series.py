@@ -342,6 +342,51 @@ def test_pochhammer_rejects_bad_arguments():
         pochhammer(1, 1, -1)
 
 
+# signed bases of orders 0-80, with zeros, small and beyond-64-bit entries
+euler_bases = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=-5, max_value=5),
+              st.integers(min_value=-(2 ** 100), max_value=2 ** 100)),
+    min_size=1, max_size=81)
+
+
+@given(st.integers(min_value=1, max_value=90), st.integers(min_value=1, max_value=8),
+       euler_bases)
+@settings(max_examples=200, deadline=None)
+@example(3, 3, [1] + [0] * 40)  # a = step
+@example(50, 2, [2 ** 70, -3, 0, 1] * 10)  # a > order
+@example(1, 1, [-(2 ** 90)] * 81)
+@example(4, 7, [5])  # order 0
+def test_euler_sum_multiplies_base_by_factor_steps(a, step, base):
+    """base (q^a; q^step)_inf by Euler's sum, against base times the
+    factor-by-factor expansion; base itself is left as it was."""
+    order = len(base) - 1
+    before = list(base)
+    expected = naive_mul(base, factor_steps((a,), step, order), order)
+    assert qseries._euler_sum(a, step, base) == expected
+    assert base == before
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=80))
+@settings(max_examples=120, deadline=None)
+@example(1, 1, 80)  # R = 2S: two chained sums share their exponents
+@example(3, 3, 61)
+@example(4, 1, 3)  # order below the first factor
+def test_chained_triple_product_matches_factor_steps(S, gap, order):
+    """The three chained Euler sums of triple_product at R = S + gap against
+    the factor-by-factor expansion; gap = S gives R = 2S."""
+    R = S + gap
+    assert (triple_product(R, S, order).dense()
+            == factor_steps((S, R - S, R), R, order)), (R, S, order)
+
+
+def test_triple_product_matches_bilateral_theta_at_large_order():
+    """Regression at an order where the two dense partial products, joined
+    by one wide Kronecker product, took seconds."""
+    for R, S in [(3, 1), (5, 2)]:
+        assert triple_product(R, S, 12000) == bilateral_theta(R, S, 12000), (R, S)
+
+
 def test_triple_product_is_product_of_three_pochhammers():
     for R, S in [(2, 1), (3, 1), (4, 3), (7, 2)]:
         expected = (pochhammer(S, R, 30) * pochhammer(R - S, R, 30)
@@ -432,6 +477,8 @@ def test_triple_product_rejects_bad_window():
     for R, S in [(3, 0), (3, 3), (2, 5), (1, 1)]:
         with pytest.raises(ValueError):
             triple_product(R, S, 10)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        triple_product(3, 1, -1)
 
 
 def test_bilateral_theta_equals_triple_product():

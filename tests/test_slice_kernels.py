@@ -5,9 +5,9 @@ lambert_diff and the index-weighted partition sums each do one C-level
 slice operation per sparse term, residue class, divisor or cofactor, or
 index j. The functions below are the loops they replaced, one Python step
 per coefficient, kept as the reference: every result must be equal,
-element for element. The timing-free gates count p(n) reads and Kronecker
-products at the benchmark's points, and which route the geometric step
-takes.
+element for element. The timing-free gates count p(n) reads at the
+benchmark's points, the product kernels and geometric steps of the triple
+product, and which route the geometric step takes.
 """
 
 from hypothesis import example, given, settings
@@ -178,12 +178,40 @@ def test_index_sums_read_each_partition_count_once(monkeypatch):
     assert len(reads) <= 1201
 
 
-def test_triple_product_forms_one_kronecker_product(monkeypatch):
-    """Timing-free gate: the triple product multiplies its two dense Euler
-    sums by Kronecker substitution, and the sparse (q^R; q^R)_inf into that
-    by the schoolbook pass, at the benchmark's order."""
-    products = _count_calls(monkeypatch, qseries, "_kronecker_mul")
+def euler_sum_steps(a: int, step: int, order: int) -> list:
+    """The geometric steps of Euler's sum for (q^a; q^step)_inf to the
+    given order: term k >= 1 sits at e = a k + step k(k-1)/2 and divides by
+    (1 - q^(step k)) a list cut to the order - e + 1 coefficients that
+    survive its shift."""
+    steps = []
+    k, e = 1, a
+    while e <= order:
+        steps.append((step * k, order - e + 1))
+        e += a + step * k
+        k += 1
+    return steps
+
+
+def test_triple_product_forms_no_series_product(monkeypatch):
+    """Timing-free gate: the triple product is three chained Euler sums,
+    (q^R; q^R) first, then (q^(R-S); q^R), then (q^S; q^R), at the
+    benchmark's order. It calls no product kernel, and its geometric steps
+    are exactly those of the three sums, each on a list cut to the
+    coefficients that survive its shift."""
+    products = {name: _count_calls(monkeypatch, qseries, name)
+                for name in ("_kronecker_mul", "_schoolbook_mul", "_mul_lists")}
+    steps = []
+    real = qseries._div_one_minus_list
+
+    def counting(dense, e):
+        steps.append((e, len(dense)))
+        real(dense, e)
+
+    monkeypatch.setattr(qseries, "_div_one_minus_list", counting)
+    N = 3000
     for R, S in [(3, 1), (5, 2), (7, 5)]:
-        products.clear()
-        triple_product(R, S, 3000)
-        assert len(products) == 1, (R, S)
+        steps.clear()
+        triple_product(R, S, N)
+        assert all(calls == [] for calls in products.values()), (R, S)
+        assert steps == (euler_sum_steps(R, R, N) + euler_sum_steps(R - S, R, N)
+                         + euler_sum_steps(S, R, N)), (R, S)
