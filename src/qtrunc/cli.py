@@ -136,7 +136,7 @@ _ORDER = Axis(("N",), _order)
 
 def _coeff_rows(N: int, *series: IntSeries) -> list[tuple]:
     """One row per degree n <= N: n, then the coefficient of q^n in each series."""
-    return [(n, *(s.coeff(n) for s in series)) for n in range(N + 1)]
+    return list(zip(range(N + 1), *(s.dense(N) for s in series)))
 
 
 def _index_sum_rows(nmax: int, k: int | None = None) -> list[tuple]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, mul, ne
+from itertools import compress, count, repeat
+from operator import add, lt, mul, ne
 from typing import Iterator
 
 from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
@@ -25,6 +25,7 @@ from .qseries import (
     _theta_sum,
     _times_one_minus_list,
     bilateral_theta,
+    inverse_triple_product,
     lambert_diff,
     pochhammer,
     triple_product,
@@ -56,14 +57,17 @@ def _sign(j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _triple(R: int, S: int, N: int) -> IntSeries:
-    """The triple product, expanded once per (R, S, N): decomposition's
-    left side and the denominator that _inv_triple inverts."""
+    """The triple product, expanded once per (R, S, N): the left side of
+    decomposition, the only suite that multiplies by it."""
     return triple_product(R, S, N)
 
 
 @lru_cache(maxsize=None)
 def _inv_triple(R: int, S: int, N: int) -> IntSeries:
-    return _triple(R, S, N).invert()
+    """The reciprocal triple product, summed once per (R, S, N) without
+    expanding the product or inverting it: every theta quotient is its
+    numerator times this series."""
+    return inverse_triple_product(R, S, N)
 
 
 @lru_cache(maxsize=None)
@@ -84,6 +88,10 @@ def _euler_cubed(N: int) -> IntSeries:
 
 @lru_cache(maxsize=None)
 def _inv_euler_cubed(N: int) -> IntSeries:
+    """1/(q; q)_inf cubed, by inverting the cube. gz keeps this route:
+    chaining three Durfee-square sums (as ``inverse_triple_product`` does)
+    took 55 ms against 43 ms for the inverted cube at N = 2500 (Python
+    3.11, 2-core host)."""
     return _euler_cubed(N).invert()
 
 
@@ -102,9 +110,9 @@ def _diff_degrees(a: IntSeries, b: IntSeries) -> list[int]:
 def _negative_coeffs(series: IntSeries, n0: int) -> Iterator[tuple[int, int]]:
     """(degree, coefficient) of each negative coefficient of q^n0 .. q^order,
     lowest degree first: the scan behind every sign claim."""
-    for n, c in enumerate(series.dense()[n0:], n0):
-        if c < 0:
-            yield n, c
+    dense = series.dense()
+    for n in compress(count(n0), map(lt, dense[n0:], repeat(0))):
+        yield n, dense[n]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from qtrunc import cli, qseries, trunclab
 from qtrunc import (
     IntSeries,
     bilateral_theta,
+    inverse_triple_product,
     lambert_diff,
     pochhammer,
     triple_product,
@@ -378,6 +379,59 @@ def test_chained_triple_product_matches_factor_steps(S, gap, order):
     R = S + gap
     assert (triple_product(R, S, order).dense()
             == factor_steps((S, R - S, R), R, order)), (R, S, order)
+
+
+def factor_divisions(a: int, step: int, base: list) -> list:
+    """base divided by prod_i (1 - q^(a + i*step)) one factor at a time,
+    each factor one geometric step over the whole list: the O(order^2)
+    reference for the Durfee-square sums of qseries."""
+    out = list(base)
+    for e in range(a, len(base), step):
+        qseries._div_one_minus_list(out, e)
+    return out
+
+
+@given(st.integers(min_value=1, max_value=90), st.integers(min_value=1, max_value=8),
+       euler_bases)
+@settings(max_examples=200, deadline=None)
+@example(2, 5, [1] + [0] * 60)  # a < step
+@example(3, 3, [1] + [0] * 40)  # a = step
+@example(7, 2, [2 ** 100, -3, 0, 1] * 20)  # a > step
+@example(50, 2, [2 ** 70, -3, 0, 1] * 10)  # a > order
+@example(1, 1, [-(2 ** 100)] * 81)
+@example(4, 7, [5])  # order 0
+def test_durfee_sum_divides_base_by_factor_steps(a, step, base):
+    """base / (q^a; q^step)_inf by the Durfee-square sum, against division
+    by one factor at a time; base itself is left as it was."""
+    before = list(base)
+    assert qseries._durfee_sum(a, step, base) == factor_divisions(a, step, base)
+    assert base == before
+
+
+def test_inverse_triple_product_matches_inverted_triple_product():
+    """The three chained Durfee-square sums against the route they replace,
+    the triple product inverted one coefficient at a time. R = 2S puts two
+    sums on the same exponents; orders 0 and below R leave the first sum,
+    in q^R, with a single coefficient."""
+    for R in range(2, 10):
+        for S in range(1, R):
+            for order in sorted({0, 1, S, R - 1, R, 2 * R + 1, 97}):
+                assert (inverse_triple_product(R, S, order)
+                        == triple_product(R, S, order).invert()), (R, S, order)
+
+
+def test_inverse_triple_product_times_triple_product_is_one_at_large_order():
+    for R, S in [(3, 1), (5, 2)]:
+        product = inverse_triple_product(R, S, 12000) * triple_product(R, S, 12000)
+        assert product == IntSeries.one(12000), (R, S)
+
+
+def test_inverse_triple_product_rejects_bad_window():
+    for R, S in [(3, 0), (3, 3), (2, 5), (1, 1)]:
+        with pytest.raises(ValueError):
+            inverse_triple_product(R, S, 10)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        inverse_triple_product(3, 1, -1)
 
 
 def test_triple_product_matches_bilateral_theta_at_large_order():

@@ -7,13 +7,13 @@ index j. The functions below are the loops they replaced, one Python step
 per coefficient, kept as the reference: every result must be equal,
 element for element. The timing-free gates count p(n) reads at the
 benchmark's points, the product kernels and geometric steps of the triple
-product, and which route the geometric step takes.
+product and of its reciprocal, and which route the geometric step takes.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtrunc import qseries, trunclab
+from qtrunc import cli, qseries, trunclab
 from qtrunc.partitions import gpn, p_euler
 from qtrunc.qseries import (
     _div_one_minus_list,
@@ -215,3 +215,61 @@ def test_triple_product_forms_no_series_product(monkeypatch):
         assert all(calls == [] for calls in products.values()), (R, S)
         assert steps == (euler_sum_steps(R, R, N) + euler_sum_steps(R - S, R, N)
                          + euler_sum_steps(S, R, N)), (R, S)
+
+
+def durfee_sum_steps(a: int, step: int, order: int) -> list:
+    """The geometric steps of the Durfee-square sum for 1/(q^a; q^step)_inf
+    to the given order: term k >= 1 sits at e = k(a + step(k-1)) and
+    divides by (1 - q^(step k)), then by (1 - q^(a + step(k-1))), a list
+    cut to the order - e + 1 coefficients that survive its shift."""
+    steps = []
+    k = 1
+    while k * (a + step * (k - 1)) <= order:
+        kept = order - k * (a + step * (k - 1)) + 1
+        steps += [(step * k, kept), (a + step * (k - 1), kept)]
+        k += 1
+    return steps
+
+
+def test_inverse_triple_product_forms_no_product_and_no_inversion(monkeypatch, capsys):
+    """Timing-free gate: the reciprocal triple product, by which every theta
+    quotient multiplies its numerator, is three chained Durfee-square sums,
+    1/(q^R; q^R) first (as 1/(q; q) on the
+    N // R + 1 coefficients of a series in q^R), then (q^(R-S); q^R), then
+    (q^S; q^R), at the benchmark's order. It expands no triple product,
+    inverts nothing and calls no product kernel; a conjecture sweep fills
+    the memo of the reciprocal and leaves the triple product's empty."""
+    forbidden = {name: _count_calls(monkeypatch, qseries, name)
+                 for name in ("_kronecker_mul", "_schoolbook_mul", "_mul_lists",
+                              "triple_product")}
+    forbidden["trunclab.triple_product"] = _count_calls(monkeypatch, trunclab,
+                                                        "triple_product")
+    forbidden["invert"] = _count_calls(monkeypatch, qseries.IntSeries, "invert")
+    steps = []
+    real = qseries._div_one_minus_list
+
+    def counting(dense, e):
+        steps.append((e, len(dense)))
+        real(dense, e)
+
+    monkeypatch.setattr(qseries, "_div_one_minus_list", counting)
+    N = 3000
+    for R, S in [(5, 1), (7, 2), (4, 2)]:
+        trunclab._inv_triple.cache_clear()
+        steps.clear()
+        trunclab._inv_triple(R, S, N)
+        assert all(calls == [] for calls in forbidden.values()), (R, S)
+        assert steps == (durfee_sum_steps(1, 1, N // R) + durfee_sum_steps(R - S, R, N)
+                         + durfee_sum_steps(S, R, N)), (R, S)
+    monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
+    trunclab._triple.cache_clear()
+    trunclab._inv_triple.cache_clear()
+    assert cli.main(["verify", "conjecture", "--R", "5", "--S", "2", "--kmax", "3",
+                     "--N", "300"]) == 0
+    capsys.readouterr()
+    assert trunclab._inv_triple.cache_info().currsize == 1
+    assert trunclab._triple.cache_info().currsize == 0
+    # the sweep multiplies each numerator by the reciprocal, but expands
+    # and inverts nothing
+    for name in ("triple_product", "trunclab.triple_product", "invert"):
+        assert forbidden[name] == [], name
