@@ -21,6 +21,8 @@ from .qseries import (
     IntSeries,
     _div_one_minus_list,
     _kronecker_mul,
+    _quotients,
+    _require_nonnegative,
     _require_window,
     _theta_sum,
     _times_one_minus_list,
@@ -47,8 +49,7 @@ class TruncParams:
             raise ValueError(
                 f"R, S, k must be positive, got R={self.R}, S={self.S}, k={self.k}"
             )
-        if self.N < 0:
-            raise ValueError(f"N must be nonnegative, got {self.N}")
+        _require_nonnegative("N", self.N)
 
 
 def _sign(j: int) -> int:
@@ -134,26 +135,20 @@ def am_rhs(k: int, N: int) -> IntSeries:
     The summation is cut once the minimum exponent of a term exceeds N.
     Since [n-1, k-1] = (q;q)_(n-1) / ((q;q)_(k-1) (q;q)_(n-k)), each term is
     q^e / ((q;q)_(k-1) (q;q)_(n-k) (1 - q^n)). The sum is built over plain
-    lists without a product: a running 1/(q;q)_(n-k), one geometric step per
-    term for 1/(1 - q^n), and the common 1/(q;q)_(k-1) applied once to the
-    sum. Each term is cut to the order N - e that survives its shift.
+    lists without a product: the walker ``qseries._quotients`` keeps the
+    running 1/(q;q)_(n-k), each term takes one more geometric step for
+    1/(1 - q^n) on a copy, and the common 1/(q;q)_(k-1) is applied once.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    _require_nonnegative("N", N)
     base = k * (k - 1) // 2
     acc = [0] * (N + 1)
-    inv_fact = [1] + [0] * N  # 1/(q;q)_(n-k)
-    n = k
-    while base + (k + 1) * n <= N:
-        # e grows with n, so the running 1/(q;q)_(n-k) can stay cut
-        e = base + (k + 1) * n
-        del inv_fact[N - e + 1:]
-        if n > k:
-            _div_one_minus_list(inv_fact, n - k)
+    terms = ((base + (k + 1) * n, (n - k,) if n > k else ()) for n in count(k))
+    for n, (e, inv_fact) in enumerate(_quotients([1] + [0] * N, terms), k):
         term = list(inv_fact)
         _div_one_minus_list(term, n)
         _add_shifted(acc, term, e)
-        n += 1
     for i in range(1, k):
         _div_one_minus_list(acc, i)
     sign = _sign(k - 1)
@@ -306,6 +301,7 @@ def index_weighted_sums(nmax: int, k: int | None = None) -> list[int]:
     side of 0, so j walks outward from 0 in both directions and stops at
     the first gpn(j) > nmax: O(sqrt(nmax)) slice updates of O(nmax) each.
     """
+    _require_nonnegative("nmax", nmax)
     p = [p_euler(n) for n in range(nmax + 1)]
     sums = [0] * (nmax + 1)
     # j = 0 has weight 0
@@ -358,21 +354,14 @@ def recurrence_check(nmax: int) -> CheckReport:
 
 def _product_sum_f(R: int, A: int, N: int) -> IntSeries:
     """(q^A, q^R; q^R)_inf times the sum over n >= 0 of
-    q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n)."""
+    q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n), each term a running quotient
+    of the walker ``qseries._quotients``, two geometric steps per n >= 1."""
     if A < 1:
         raise ValueError(f"base exponent must be positive, got {A}")
-    acc = [0] * (N + 1)
-    # the n-th term divided by q^(Rn), kept to the N - Rn + 1 coefficients
-    # that survive the shift
-    term = [1] + [0] * N
-    n = 0
-    while R * n <= N:
-        if n > 0:
-            del term[N - R * n + 1:]
-            _div_one_minus_list(term, R * n)
-            _div_one_minus_list(term, A + R * (n - 1))
-        _add_shifted(acc, term, R * n)
-        n += 1
+    acc = [1] + [0] * N  # the term n = 0
+    terms = ((R * n, (R * n, A + R * (n - 1))) for n in count(1))
+    for e, term in _quotients([1] + [0] * N, terms):
+        _add_shifted(acc, term, e)
     return IntSeries._from_list(acc, N) * _euler(R, N) * pochhammer(A, R, N)
 
 
@@ -413,22 +402,13 @@ def _mao_double_sum(R: int, A: int, N: int) -> IntSeries:
     """(q^A, q^R; q^R)_inf times the double sum over n, m >= 0 of
     q^(R(2n+m)) / ((q^A; q^R)_n (q^R; q^R)_n (1 - q^(A + R(n+m))))."""
     acc = [0] * (N + 1)
-    # the n-th base term divided by q^(2Rn), cut as in _product_sum_f
-    base = [1] + [0] * N
-    n = 0
-    while 2 * R * n <= N:
-        if n > 0:
-            del base[N - 2 * R * n + 1:]
-            _div_one_minus_list(base, R * n)
-            _div_one_minus_list(base, A + R * (n - 1))
-        m = 0
-        while 2 * R * n + R * m <= N:
-            shift = 2 * R * n + R * m
-            term = base[:N - shift + 1]
+    # the n-th base term divided by q^(2Rn), walked as in _product_sum_f
+    terms = ((2 * R * n, (R * n, A + R * (n - 1)) if n else ()) for n in count())
+    for n, (e, quotient) in enumerate(_quotients([1] + [0] * N, terms)):
+        for m in range((N - e) // R + 1):
+            term = quotient[:N - e - R * m + 1]
             _div_one_minus_list(term, A + R * (n + m))
-            _add_shifted(acc, term, shift)
-            m += 1
-        n += 1
+            _add_shifted(acc, term, e + R * m)
     return IntSeries._from_list(acc, N) * pochhammer(A, R, N) * _euler(R, N)
 
 
@@ -565,8 +545,7 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     _require_half_window(R, S)
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+    _require_nonnegative("N", N)
     monomial = R * m * (m - 1) // 2
     if monomial > N:
         return IntSeries.one(N)

@@ -557,3 +557,8 @@ def test_lambert_diff_matches_divisor_scan():
 
 def test_lambert_diff_constant_term_is_zero():
     assert lambert_diff(3, 1, 8).coeff(0) == 0
+
+
+def test_lambert_diff_rejects_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        lambert_diff(3, 1, -1)

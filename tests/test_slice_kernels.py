@@ -2,14 +2,20 @@
 
 The schoolbook product, the geometric step, the divisor sieve of
 lambert_diff and the index-weighted partition sums each do one C-level
-slice operation per sparse term, residue class, divisor or cofactor, or
-index j. The functions below are the loops they replaced, one Python step
-per coefficient, kept as the reference: every result must be equal,
-element for element. The timing-free gates count p(n) reads at the
-benchmark's points, the product kernels and geometric steps of the triple
-product and of its reciprocal, and which route the geometric step takes.
+slice operation per sparse term, residue class or block, divisor or
+cofactor, or index j. The functions below are the loops they replaced, one
+Python step per coefficient, kept as the reference: every result must be
+equal, element for element. The running-quotient walker behind the q-series
+sums is checked against the per-element division of the uncut list. The
+timing-free gates count p(n) reads at the benchmark's points, the product
+kernels and geometric steps of the triple product and of its reciprocal,
+and which route the geometric step takes.
 """
 
+from itertools import accumulate
+from unittest import mock
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +24,7 @@ from qtrunc.partitions import gpn, p_euler
 from qtrunc.qseries import (
     _div_one_minus_list,
     _mul_lists,
+    _quotients,
     _schoolbook_mul,
     lambert_diff,
     triple_product,
@@ -128,6 +135,55 @@ def test_div_one_minus_list_edges_and_route(monkeypatch):
             assert len(calls) == (e if length >= 16 * e else 0), (e, length)
 
 
+# nondecreasing shifts as running sums of gaps, 0-2 exponents per term
+walks = st.lists(st.tuples(st.integers(min_value=0, max_value=30),
+                           st.lists(st.integers(min_value=1, max_value=12), max_size=2)),
+                 max_size=12)
+
+
+@given(st.lists(st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+                min_size=1, max_size=81),
+       walks)
+@settings(max_examples=300, deadline=None)
+@example([5], [(0, [1]), (0, [])])
+@example([1, -2, 3], [(4, [1]), (0, [2])])
+@example([1, 2, 3, 4], [(0, []), (3, [2, 1]), (0, [1]), (1, [3])])
+def test_quotients_match_uncut_per_element_division(base, walk):
+    """Order 0, a first shift of 0 and one past the order, and a shift equal
+    to the order. Each yielded list is base divided by every factor so far,
+    uncut and one element at a time, then cut to the order - e + 1
+    coefficients that survive the shift e; each step divides a list
+    already cut; the walk reads no term past the first shift beyond the
+    order, and base is unchanged."""
+    order = len(base) - 1
+    terms = [(e, tuple(exponents))
+             for e, (_, exponents) in zip(accumulate(gap for gap, _ in walk), walk)]
+    expected, expected_steps, uncut, walked = [], [], list(base), 0
+    for e, exponents in terms:
+        if e > order:
+            break
+        for f in exponents:
+            uncut = loop_div_one_minus(uncut, f)
+            expected_steps.append((f, order - e + 1))
+        expected.append((e, uncut[:order - e + 1]))
+        walked += 1
+    steps = []
+
+    def recording(dense, f):
+        steps.append((f, len(dense)))
+        _div_one_minus_list(dense, f)
+
+    original = list(base)
+    remaining = iter(terms)
+    with mock.patch.object(qseries, "_div_one_minus_list", recording):
+        got = [(e, list(quotient)) for e, quotient in _quotients(base, remaining)]
+    assert got == expected
+    assert all(len(quotient) == order - e + 1 for e, quotient in got)
+    assert steps == expected_steps
+    assert list(remaining) == terms[walked + 1:]
+    assert base == original
+
+
 def test_lambert_diff_matches_nested_divisor_loops():
     """Every order up to 40 puts sqrt(order), and the least divisor above
     it in each class, on both sides of each residue."""
@@ -150,6 +206,11 @@ def test_index_weighted_sums_match_per_n_walk_and_full_scan():
             js = range(-n - 1, n + 2) if k is None else range(-k, k)
             full = sum((j if j % 2 == 0 else -j) * p_euler(n - gpn(j)) for j in js)
             assert sums[n] == full, (n, k)
+
+
+def test_index_weighted_sums_rejects_negative_nmax():
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        index_weighted_sums(-1)
 
 
 def _count_calls(monkeypatch, owner, name):

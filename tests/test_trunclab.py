@@ -245,6 +245,11 @@ def test_am_rejects_bad_depth():
         am_rhs(0, 10)
 
 
+def test_am_rhs_rejects_negative_order():
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        am_rhs(1, -1)
+
+
 def test_mk_identity_frozen_coefficient():
     # depth 2 carries sign -1: the series coefficient at q^15 is -M_2(15)
     assert -am_lhs(2, 15).coeff(15) == m_k(2, 15) == 18
