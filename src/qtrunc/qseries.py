@@ -38,8 +38,8 @@ would need for it (_mul_lists):
   Euler product.
 
 Both kernels give the same exact coefficients; the tests check each
-against a naive list convolution. wang_yee_rhs calls _kronecker_mul on its
-own dense lists, so the slot format stays private to this module.
+against a naive list convolution. No module outside this one calls
+_kronecker_mul, so the slot format is private to it.
 
 _times_one_minus_list and _div_one_minus_list multiply and divide a plain
 coefficient list by (1 - q^e) in place: the IntSeries methods and the

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, repeat
-from operator import add, lt, mul, ne
+from itertools import combinations, compress, count, repeat
+from operator import add, lt, mul, ne, sub
 from typing import Iterator
 
 from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
 from .qseries import (
     IntSeries,
     _div_one_minus_list,
-    _kronecker_mul,
     _quotients,
     _require_nonnegative,
     _require_window,
@@ -96,11 +95,12 @@ def _inv_euler_cubed(N: int) -> IntSeries:
     return _euler_cubed(N).invert()
 
 
-def _add_shifted(acc: list[int], src: list[int], e: int) -> None:
-    """acc += q^e * src in place, dropping what falls past the end of acc."""
+def _add_shifted(acc: list[int], src: list[int], e: int, op=add) -> None:
+    """acc = op(acc, q^e * src) in place, add unless op is given, dropping
+    what falls past the end of acc."""
     if e < len(acc):
         end = e + len(src)
-        acc[e:end] = map(add, acc[e:end], src)
+        acc[e:end] = map(op, acc[e:end], src)
 
 
 def _diff_degrees(a: IntSeries, b: IntSeries) -> list[int]:
@@ -400,15 +400,23 @@ def i_series(idx: int, P: TruncParams) -> IntSeries:
 
 def _mao_double_sum(R: int, A: int, N: int) -> IntSeries:
     """(q^A, q^R; q^R)_inf times the double sum over n, m >= 0 of
-    q^(R(2n+m)) / ((q^A; q^R)_n (q^R; q^R)_n (1 - q^(A + R(n+m))))."""
+    q^(R(2n+m)) / ((q^A; q^R)_n (q^R; q^R)_n (1 - q^(A + R(n+m)))).
+
+    Summed by parts over M = n + m, it is the sum over M >= 0 of
+    q^(RM) C_M / (1 - q^(A + RM)), where C_M = C_(M-1) + q^(RM) b_M is the
+    running sum of q^(Rn) b_n, b_n = 1 / ((q^A; q^R)_n (q^R; q^R)_n), and
+    the walker ``qseries._quotients`` gives b_M at the shift RM. Each term
+    takes its geometric step on a copy: three steps per M >= 1, O(N^2 / R).
+    """
     acc = [0] * (N + 1)
-    # the n-th base term divided by q^(2Rn), walked as in _product_sum_f
-    terms = ((2 * R * n, (R * n, A + R * (n - 1)) if n else ()) for n in count())
-    for n, (e, quotient) in enumerate(_quotients([1] + [0] * N, terms)):
-        for m in range((N - e) // R + 1):
-            term = quotient[:N - e - R * m + 1]
-            _div_one_minus_list(term, A + R * (n + m))
-            _add_shifted(acc, term, e + R * m)
+    partial = [0] * (N + 1)  # C_M, cut to the coefficients that survive RM
+    terms = ((R * M, (R * M, A + R * (M - 1)) if M else ()) for M in count())
+    for e, quotient in _quotients([1] + [0] * N, terms):
+        del partial[N - e + 1:]
+        _add_shifted(partial, quotient, e)
+        term = list(partial)
+        _div_one_minus_list(term, A + e)
+        _add_shifted(acc, term, e)
     return IntSeries._from_list(acc, N) * pochhammer(A, R, N) * _euler(R, N)
 
 
@@ -515,32 +523,20 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     ((q^R;q^R)_i (q^R;q^R)_j (q^R;q^R)_h (q^R;q^R)_k) * [n-1, m-1] in q^R,
     cut once the minimal exponent R m(m-1)/2 + n(R-S) exceeds N.
 
-    The quadruple sum is grouped into two pair sums, pair_g[u] over i + j = u
-    and pair_h[t] over h + k = t, so that with n = u + t it reads
-    sum_{u+t >= m} q^(uR + t(R-S)) pair_g[u] pair_h[t] [u+t-1, m-1]. Every
-    pair term needs pair(x, y) = 1/((q^R;q^R)_x (q^R;q^R)_y). These are
-    streamed one anti-diagonal x + y = s at a time, without multiplying:
-    pair(x, s - x) = pair(x, s - 1 - x) / (1 - q^(R(s - x))) is one geometric
-    step from the diagonal before, and pair is symmetric, so only x <= s/2 is
-    kept. Live memory is one diagonal, O(nmax * W) coefficients, plus the
-    2m lists A_j and B_j below; pair_g[s] and pair_h[s] exist only while
-    diagonal s is current.
-
-    The convolution over n becomes m products by the q-Chu-Vandermonde
-    split: in base q^R and for t >= 1,
-    [u+t-1, m-1] = sum_{j<m} [u, j] [t-1, m-1-j] q^(R(u-j)(m-1-j)).
-    So the rows t >= 1 sum to sum_{j<m} A_j B_j with
-    A_j = sum_{u >= j} q^(uR + R(u-j)(m-1-j)) [u, j] pair_g[u] and
-    B_j = sum_{t >= m-j} q^(t(R-S)) [t-1, m-1-j] pair_h[t]. The row t = 0
-    has pair_h[0] = 1 and needs no product: it adds
-    sum_{u >= m} q^(uR) [u-1, m-1] pair_g[u]. Each Gaussian binomial
-    [n, k] = prod_{i<k} (1 - q^(R(n-i))) / (q^R;q^R)_k is applied as factor
-    steps on each term for its numerator, and its denominator once on each
-    A_j, each B_j and the t = 0 row. A_j and B_j are kept divided by their
-    least degrees jR and (m-j)(R-S), to the order that survives the shift of
-    their product, which _kronecker_mul forms; every term is cut to the
-    order that survives its own shift, so no coefficient past order N is
-    computed.
+    With p = q^R, the inner sum T_n over i+j+h+k = n has, by Euler's sum
+    and the q-binomial theorem (Andrews, The Theory of Partitions, (2.2.5)
+    and (2.2.1)), the generating function
+    sum_n T_n x^n = (p^2 x^2; p)_inf / (p x, p^(m+1) x, q^(R-S) x, q^(R+S) x; p)_inf.
+    Comparing it with its value at p x gives an order-four recurrence for
+    U_n = T_n / q^(n(R-S)), with U_0 = 1 and f = (0, S, 2S, mR + S):
+    (1 - q^(Rn)) U_n = sum_{k=1..4} (-1)^(k+1) e_k(q^f) U_(n-k)
+    - (q^(Rn - 2(R-S)) + q^(R(n+1) - 2(R-S))) U_(n-2) + q^(R(n+1) - 4(R-S)) U_(n-4),
+    where e_k(q^f) is the sum of q^(sum c) over the k-subsets c of f.
+    So U_n is 18 shifted adds of the last four and one geometric step, on a
+    list cut to the W - n(R-S) + 1 coefficients that survive its shift,
+    and the sum forms no series product. Each term n >= m takes its
+    Gaussian binomial's numerator as factor steps, and the common
+    1/(q^R;q^R)_(m-1) is applied once: nmax + m - 1 geometric steps in all.
     """
     _require_half_window(R, S)
     if m < 1:
@@ -550,49 +546,26 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     if monomial > N:
         return IntSeries.one(N)
     W = N - monomial
-    nmax = W // (R - S)
-    lows = [j * R + (m - j) * (R - S) for j in range(m)]
-    A = [[0] * (W - low + 1) for low in lows]  # empty when W < low
-    B = [[0] * (W - low + 1) for low in lows]
+    d = R - S
+    f = (0, S, 2 * S, m * R + S)
+    # (k, op, e): op q^e U_(n-k), for the terms that do not depend on n
+    fixed = [(k, add if k % 2 else sub, sum(c))
+             for k in range(1, 5) for c in combinations(f, k)]
     total = [0] * (W + 1)
-    diagonal = [[1] + [0] * W]  # diagonal[x] = pair(x, s - x) for x <= s/2
-    for s in range(nmax + 1):
-        if s:
-            if s % 2 == 0:
-                # pair(s/2, s/2) = pair(s/2 - 1, s/2) / (1 - q^(R s/2))
-                diagonal.append(list(diagonal[-1]))
-            for x, p in enumerate(diagonal):
-                # pair(x, s - x) reaches the total at q^(sR + mxR) or higher
-                # through pair_g[s], and at q^(s(R-S) + x(s-x)R + 2xS) or
-                # higher through pair_h[s]; later diagonals reach higher
-                reach = min(s * R + m * x * R, s * (R - S) + x * (s - x) * R + 2 * x * S)
-                del p[W - reach + 1:]
-                _div_one_minus_list(p, R * (s - x))
-        # pair(a, s - a) = pair(s - a, a) = diagonal[min(a, s - a)]
-        if s * R <= W:
-            # pair_g[s] divided by q^(sR), the least shift it enters at
-            g = [0] * (W - s * R + 1)
-            for a in range(s + 1):
-                _add_shifted(g, diagonal[min(a, s - a)], m * a * R)
-            for j in range(min(s, m - 1) + 1):
-                _add_numerator_term(A[j], g, (s - j) * (m - j) * R, R, s, j)
-            if s >= m:
-                _add_numerator_term(total, g, s * R, R, s - 1, m - 1)
-        if s:
-            h = [0] * (W - s * (R - S) + 1)
-            for a in range(s + 1):
-                _add_shifted(h, diagonal[min(a, s - a)], a * (s - a) * R + 2 * a * S)
-            for j in range(max(0, m - s), m):
-                _add_numerator_term(B[j], h, (s - m + j) * (R - S), R, s - 1, m - 1 - j)
+    recent = [[1] + [0] * W]  # U_(n-4) .. U_(n-1), the newest last
+    for n in range(1, W // d + 1):
+        u = [0] * (W - n * d + 1)
+        terms = fixed + [(2, sub, R * n - 2 * d), (2, sub, R * (n + 1) - 2 * d),
+                         (4, add, R * (n + 1) - 4 * d)]
+        for k, op, e in terms:
+            if k <= n:
+                _add_shifted(u, recent[-k], e, op)
+        _div_one_minus_list(u, R * n)
+        if n >= m:
+            _add_numerator_term(total, u, n * d, R, n - 1, m - 1)
+        recent = recent[-3:] + [u]
     for i in range(1, m):
         _div_one_minus_list(total, R * i)
-    for j, low in enumerate(lows):
-        for i in range(1, j + 1):
-            _div_one_minus_list(A[j], R * i)
-        for i in range(1, m - j):
-            _div_one_minus_list(B[j], R * i)
-        if low <= W:
-            _add_shifted(total, _kronecker_mul(A[j], B[j], W - low), low)
     sign = _sign(m - 1)
     out = [0] * monomial + [sign * c for c in total]
     out[0] += 1

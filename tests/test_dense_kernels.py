@@ -1,16 +1,15 @@
 """The dense-scratch forms of the identity suites against their IntSeries forms.
 
 wang_yee_rhs, _product_sum_f, _mao_double_sum and am_rhs sum into plain int
-lists, and wang_yee_rhs forms its m products of A_j and B_j, the two sides
-of the q-Chu-Vandermonde split of its Gaussian binomial, with _kronecker_mul.
-The functions below are the same constructions written as chains of
-IntSeries operations, with the whole convolution over n and the binomial
-from the Pascal recurrence, kept as the reference: every result must be
-equal, coefficient for coefficient and in its order. The timing-free gates
-count the work the dense forms do at fixed points.
+lists and form no series product: wang_yee_rhs runs an order-four
+recurrence over n for its inner quadruple sum, and _mao_double_sum sums by
+parts over n + m. The functions below are the same constructions written
+as chains of IntSeries operations, with the whole convolution over n and
+the binomial from the Pascal recurrence, kept as the reference: every
+result must be equal, coefficient for coefficient and in its order. The
+timing-free gates count the work the dense forms do at fixed points.
 """
-
-from qtrunc import trunclab
+from qtrunc import qseries, trunclab
 from qtrunc.qseries import IntSeries, pochhammer
 from qtrunc.trunclab import (
     TruncParams,
@@ -19,7 +18,6 @@ from qtrunc.trunclab import (
     am_rhs,
     decomposition_check,
     mao_check,
-    wang_yee_check,
     wang_yee_rhs,
 )
 from qbinomial import q_binomial
@@ -145,6 +143,7 @@ def test_mao_double_sum_matches_series_form():
     for R, A in [(5, 3), (5, 7), (3, 2), (4, 9)]:
         for N in (0, 7, 150):
             assert _mao_double_sum(R, A, N) == series_mao_double_sum(R, A, N), (R, A, N)
+    assert _mao_double_sum(5, 3, 600) == series_mao_double_sum(5, 3, 600)
 
 
 def test_am_rhs_matches_series_form():
@@ -164,15 +163,56 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_wang_yee_makes_one_product_per_split_term(monkeypatch):
-    """Timing-free gate: wang_yee_rhs forms sum_{j<m} A_j B_j with one
-    _kronecker_mul per j; the theta quotient of the check, whose sparse
-    numerator has at most 2m <= 16 terms, takes the schoolbook loop."""
-    products = _count_calls(monkeypatch, trunclab, "_kronecker_mul")
+def _count_steps(monkeypatch):
+    """(e, length) of every _div_one_minus_list call, from trunclab or
+    through the walker."""
+    steps = []
+    for owner in (qseries, trunclab):
+        real = owner._div_one_minus_list
+
+        def counting(dense, e, real=real):
+            steps.append((e, len(dense)))
+            real(dense, e)
+
+        monkeypatch.setattr(owner, "_div_one_minus_list", counting)
+    return steps
+
+
+def test_wang_yee_rhs_forms_no_product_and_one_step_per_n(monkeypatch):
+    """Timing-free gate: wang_yee_rhs reaches no product kernel, theta sum
+    or reciprocal triple product, and takes one geometric step per n of its
+    recurrence, n = 1..nmax, on the W - 2n + 1 coefficients that survive
+    the shift 2n, and m - 1 for its common 1/(q^R; q^R)_(m-1)."""
+    names = ("_kronecker_mul", "_schoolbook_mul", "_theta_sum", "_durfee_sum",
+             "inverse_triple_product")
+    forbidden = [_count_calls(monkeypatch, owner, name)
+                 for owner in (qseries, trunclab) for name in names
+                 if hasattr(owner, name)]
+    forbidden.append(_count_calls(monkeypatch, IntSeries, "__mul__"))
+    steps = _count_steps(monkeypatch)
     for m in range(1, 5):
-        products.clear()
-        assert wang_yee_check(3, 1, m, 60).passed, m
-        assert len(products) == m, m
+        steps.clear()
+        wang_yee_rhs(3, 1, m, 150 + 3 * m * (m - 1) // 2)
+        assert all(calls == [] for calls in forbidden), m
+        assert steps == ([(3 * n, 150 - 2 * n + 1) for n in range(1, 76)]
+                         + [(3 * i, 151) for i in range(1, m)]), m
+
+
+def test_mao_double_sum_takes_three_steps_per_M(monkeypatch):
+    """Timing-free gate: summed by parts over M = n + m, the double sum
+    takes two walker steps per 1 <= M <= N // R and one step on a copy per
+    M <= N // R, within 3 (N // R + 1), each on the N - RM + 1
+    coefficients that survive the shift RM. Its two Euler-product factors
+    are stubbed out, so only the sum's own steps are counted."""
+    monkeypatch.setattr(trunclab, "pochhammer", lambda a, step, order: IntSeries.one(order))
+    monkeypatch.setattr(trunclab, "_euler", lambda R, N: IntSeries.one(N))
+    steps = _count_steps(monkeypatch)
+    _mao_double_sum(5, 3, 600)
+    expected = [(3, 601)]
+    for M in range(1, 121):
+        kept = 600 - 5 * M + 1
+        expected += [(5 * M, kept), (3 + 5 * (M - 1), kept), (3 + 5 * M, kept)]
+    assert steps == expected
 
 
 def test_mao_series_objects_do_not_grow_with_order(monkeypatch):

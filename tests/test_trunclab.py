@@ -6,6 +6,8 @@ an independent reference.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtrunc import trunclab
 from qtrunc import (
@@ -496,13 +498,35 @@ def test_wang_yee_rhs_equals_full_order_form():
                 (R, S, m, N)
 
 
+@st.composite
+def wang_yee_points(draw):
+    R = draw(st.integers(2, 9))
+    return (R, draw(st.integers(1, R // 2)), draw(st.integers(1, 5)),
+            draw(st.integers(0, 90)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wang_yee_points())
+# N = R m(m-1)/2 - 1 and N = R m(m-1)/2: no term, then the n = 0 slot alone
+@example((3, 1, 3, 8))
+@example((3, 1, 3, 9))
+# nmax = 1, 2, 3 and 3: the walk ends before the U_(n-2) or U_(n-4) term applies
+@example((5, 2, 2, 8))
+@example((4, 1, 2, 11))
+@example((4, 1, 1, 11))
+@example((2, 1, 2, 5))
+def test_wang_yee_rhs_recurrence_matches_full_order_form(point):
+    R, S, m, N = point
+    assert wang_yee_rhs(R, S, m, N) == _wang_yee_rhs_full_order(R, S, m, N)
+
+
 def test_wang_yee_multiply_count_gate(monkeypatch):
     """Timing-free regression gate: the number of IntSeries products that
     wang-yee makes at a fixed point. Building the pair series by geometric
     steps took it from 617 to 361; summing over plain lists, with the
     Gaussian binomial as (1 - q^j) factors, left one: the theta quotient.
-    The closed side's m products go to _kronecker_mul on plain lists, not
-    through IntSeries. A change that raises it fails here."""
+    The closed side runs a recurrence over plain lists and forms no
+    product. A change that raises it fails here."""
     calls = []
     mul = IntSeries.__mul__
 
