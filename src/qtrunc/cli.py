@@ -29,16 +29,7 @@ from .report import CSV_COLUMNS, CheckReport
 from .trunclab import TruncParams, _require_half_window
 
 _ALIASES = {"mk": "mk-identity"}
-
-
-@dataclass
-class SuiteSpec:
-    """A resolved invocation: suite name, raw grid flags, output options."""
-
-    suite: str
-    grid: dict
-    format: str = "text"
-    out: str | None = None
+_GRID_FLAGS = ("R", "S", "k", "kmax", "m", "n", "nmax", "N")
 
 
 @dataclass(frozen=True)
@@ -211,18 +202,19 @@ SUITES = {
 }
 
 
-def _points(spec: SuiteSpec, axes: tuple[Axis, ...], command: str) -> list[dict]:
+def _points(args: argparse.Namespace, axes: tuple[Axis, ...]) -> list[dict]:
     """Every combination of one value per axis. A flag no axis reads is a
     usage error, and every axis is validated before any point is formed, so
     no computation starts on a bad grid."""
+    grid = {key: getattr(args, key) for key in _GRID_FLAGS}
     read = {flag for axis in axes for flag in axis.flags}
-    unread = [f"--{key}" for key, val in spec.grid.items()
+    unread = [f"--{key}" for key, val in grid.items()
               if val is not None and key not in read]
     if unread:
-        raise ValueError(f"{command} {spec.suite} does not read {', '.join(unread)}")
+        raise ValueError(f"{args.command} {args.suite} does not read {', '.join(unread)}")
     points = [{}]
     for axis in axes:
-        values = axis.values(spec.grid)
+        values = axis.values(grid)
         points = [{**point, **value} for point in points for value in values]
     return points
 
@@ -260,15 +252,15 @@ def _summary_line(reports: list[CheckReport]) -> str:
     return f"{passed}/{len(reports)} points passed"
 
 
-def _render_verify(spec: SuiteSpec, reports: list[CheckReport]) -> str:
-    if spec.format == "json":
+def _render_verify(args: argparse.Namespace, reports: list[CheckReport]) -> str:
+    if args.format == "json":
         doc = {
-            "suite": spec.suite,
+            "suite": args.suite,
             "pass": all(r.passed for r in reports),
             "points": [r.to_dict() for r in reports],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if spec.format == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
@@ -295,28 +287,28 @@ def _render_verify(spec: SuiteSpec, reports: list[CheckReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(spec: SuiteSpec, payload: str, summary: str) -> None:
-    if spec.out:
-        with open(spec.out, "w", encoding="utf-8", newline="") as fh:
+def _emit(args: argparse.Namespace, payload: str, summary: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
         print(summary)
     else:
         sys.stdout.write(payload)
 
 
-def run(spec: SuiteSpec) -> int:
+def run(args: argparse.Namespace) -> int:
     """Evaluate a verify invocation; returns the process exit code."""
-    points = _points(spec, SUITES[spec.suite].axes, "verify")
-    reports = _run_points(spec.suite, points)
-    _emit(spec, _render_verify(spec, reports), _summary_line(reports))
+    reports = _run_points(args.suite, _points(args, SUITES[args.suite].axes))
+    _emit(args, _render_verify(args, reports), _summary_line(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _render_table(spec: SuiteSpec, columns: tuple[str, ...], rows: list[tuple]) -> str:
-    if spec.format == "json":
+def _render_table(args: argparse.Namespace, columns: tuple[str, ...],
+                  rows: list[tuple]) -> str:
+    if args.format == "json":
         doc = [dict(zip(columns, row)) for row in rows]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if spec.format == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -332,13 +324,13 @@ def _render_table(spec: SuiteSpec, columns: tuple[str, ...], rows: list[tuple]) 
     return "\n".join(lines) + "\n"
 
 
-def table(spec: SuiteSpec) -> int:
+def table(args: argparse.Namespace) -> int:
     """Evaluate a table invocation; returns the process exit code."""
-    tab = SUITES[spec.suite].table
+    tab = SUITES[args.suite].table
     if tab is None:
-        raise ValueError(f"table output is not available for suite {spec.suite!r}")
-    rows = [row for point in _points(spec, tab.axes, "table") for row in tab.rows(**point)]
-    _emit(spec, _render_table(spec, tab.columns, rows), f"{len(rows)} rows")
+        raise ValueError(f"table output is not available for suite {args.suite!r}")
+    rows = [row for point in _points(args, tab.axes) for row in tab.rows(**point)]
+    _emit(args, _render_table(args, tab.columns, rows), f"{len(rows)} rows")
     return 0
 
 
@@ -369,23 +361,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> SuiteSpec:
-    suite = _ALIASES.get(args.suite, args.suite)
-    if suite not in SUITES:
-        raise ValueError(
-            f"unknown suite {args.suite!r}; choose from: " + ", ".join(SUITES)
-        )
-    grid = {key: getattr(args, key) for key in ("R", "S", "k", "kmax", "m", "n", "nmax", "N")}
-    return SuiteSpec(suite=suite, grid=grid, format=args.format, out=args.out)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        spec = _spec_from_args(args)
+        args.suite = _ALIASES.get(args.suite, args.suite)
+        if args.suite not in SUITES:
+            raise ValueError(
+                f"unknown suite {args.suite!r}; choose from: " + ", ".join(SUITES)
+            )
         if args.command == "verify":
-            return run(spec)
-        return table(spec)
+            return run(args)
+        return table(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

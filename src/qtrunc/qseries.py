@@ -23,9 +23,8 @@ would need for it (_mul_lists):
   which adds the other operand, times that term, to the output from the
   term's degree on. That is t list operations at C speed, so its cost
   grows with t and only slowly with the width. Theta numerators and
-  monomials, the sparse (q^R; q^R)_infinity factor of the product-sum
-  series and the theta-type blocks over a wide inverse product take this
-  path.
+  monomials and the theta-type blocks over a wide inverse product take
+  this path.
 - otherwise, Kronecker substitution (_kronecker_mul). Each operand is
   packed into one int, coefficient i in the 8w-bit slot i; the two ints are
   multiplied once by CPython; the low N + 1 slots of the product are read
@@ -58,7 +57,9 @@ coefficient list by (q^a; q^s)_infinity by Euler's distinct-parts sum,
 base (q^a; q^s)_infinity = sum_k (-1)^k q^(a k + s k(k-1)/2) base / (q^s; q^s)_k,
 in about sqrt(2N/s) geometric steps of the walker: O(N^1.5)
 instead of O(N^2). pochhammer is one such sum over the list of 1;
-triple_product chains three, each over the list the one before returned.
+triple_product chains three, each over the list the one before returned,
+and mao's product-sum series in trunclab chain two, (q^R; q^R)_infinity
+and then (q^A; q^R)_infinity, over their summed list.
 The sum does not go through Jacobi's triple product. _durfee_sum divides a
 list by (q^a; q^s)_infinity by the Durfee-square sum,
 base / (q^a; q^s)_infinity = sum_k q^(k(a + s(k-1))) base / ((q^s; q^s)_k (q^a; q^s)_k),

@@ -20,6 +20,7 @@ from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
 from .qseries import (
     IntSeries,
     _div_one_minus_list,
+    _euler_sum,
     _quotients,
     _require_nonnegative,
     _require_window,
@@ -55,43 +56,40 @@ def _sign(j: int) -> int:
     return 1 if j % 2 == 0 else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _triple(R: int, S: int, N: int) -> IntSeries:
-    """The triple product, expanded once per (R, S, N): the left side of
-    decomposition, the only suite that multiplies by it."""
+    """The triple product at (R, S, N): the left side of decomposition, the
+    only suite that multiplies by it. One entry is enough: a CLI grid holds
+    (R, S, N) fixed and sweeps only k, so every point after the first hits."""
     return triple_product(R, S, N)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _inv_triple(R: int, S: int, N: int) -> IntSeries:
-    """The reciprocal triple product, summed once per (R, S, N) without
-    expanding the product or inverting it: every theta quotient is its
-    numerator times this series."""
+    """The reciprocal triple product at (R, S, N), summed without expanding
+    the product or inverting it: every theta quotient is its numerator
+    times this series. One entry is enough: a CLI grid holds (R, S, N)
+    fixed and sweeps only k, so every point after the first hits."""
     return inverse_triple_product(R, S, N)
 
 
-@lru_cache(maxsize=None)
-def _euler(R: int, N: int) -> IntSeries:
-    """(q^R; q^R)_inf, expanded once per (R, N): the factor that every
-    product-sum series at one (R, N) shares, whichever base or k."""
-    return pochhammer(R, R, N)
-
-
-@lru_cache(maxsize=None)
 def _euler_cubed(N: int) -> IntSeries:
     """(q; q)_inf cubed by two products. Chaining three Euler sums (as
     ``triple_product`` does) is slower here: 50 ms against 25 ms for
-    e * e * e at N = 2500 (Python 3.11, 2-core host)."""
+    e * e * e at N = 2500 (Python 3.11, 2-core host). It is not memoized:
+    jacobi-cube builds the cube once, and gz reads it once through
+    ``_inv_euler_cubed``."""
     e = pochhammer(1, 1, N)
     return e * e * e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _inv_euler_cubed(N: int) -> IntSeries:
     """1/(q; q)_inf cubed, by inverting the cube. gz keeps this route:
     chaining three Durfee-square sums (as ``inverse_triple_product`` does)
     took 55 ms against 43 ms for the inverted cube at N = 2500 (Python
-    3.11, 2-core host)."""
+    3.11, 2-core host). One entry is enough: a gz grid holds N fixed and
+    sweeps only k."""
     return _euler_cubed(N).invert()
 
 
@@ -245,12 +243,13 @@ def conjecture_regime(R: int, S: int) -> str:
 def conjecture_series(P: TruncParams) -> IntSeries:
     """Signed k-truncated theta sum divided by the triple product.
 
-    The sign (-1)^(k-1) is folded in, so nonnegativity of the coefficients
-    from q^1 on is the literal claim under test.
+    The sign (-1)^(k-1) is folded into the sparse numerator, so
+    nonnegativity of the coefficients from q^1 on is the literal claim
+    under test.
     """
     _require_window(P.R, P.S)
-    series = bilateral_theta(P.R, P.S, P.N, P.k) * _inv_triple(P.R, P.S, P.N)
-    return series.scale(_sign(P.k - 1))
+    numerator = bilateral_theta(P.R, P.S, P.N, P.k).scale(_sign(P.k - 1))
+    return numerator * _inv_triple(P.R, P.S, P.N)
 
 
 def conjecture_check(P: TruncParams) -> CheckReport:
@@ -355,14 +354,17 @@ def recurrence_check(nmax: int) -> CheckReport:
 def _product_sum_f(R: int, A: int, N: int) -> IntSeries:
     """(q^A, q^R; q^R)_inf times the sum over n >= 0 of
     q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n), each term a running quotient
-    of the walker ``qseries._quotients``, two geometric steps per n >= 1."""
+    of the walker ``qseries._quotients``, two geometric steps per n >= 1.
+    The sum is multiplied by (q^R; q^R)_inf and then by (q^A; q^R)_inf by
+    two Euler sums (``qseries._euler_sum``), as ``triple_product`` chains
+    its factors, so no series product is formed."""
     if A < 1:
         raise ValueError(f"base exponent must be positive, got {A}")
     acc = [1] + [0] * N  # the term n = 0
     terms = ((R * n, (R * n, A + R * (n - 1))) for n in count(1))
     for e, term in _quotients([1] + [0] * N, terms):
         _add_shifted(acc, term, e)
-    return IntSeries._from_list(acc, N) * _euler(R, N) * pochhammer(A, R, N)
+    return IntSeries._from_list(_euler_sum(A, R, _euler_sum(R, R, acc)), N)
 
 
 def mao_check(P: TruncParams) -> CheckReport:
@@ -407,6 +409,7 @@ def _mao_double_sum(R: int, A: int, N: int) -> IntSeries:
     running sum of q^(Rn) b_n, b_n = 1 / ((q^A; q^R)_n (q^R; q^R)_n), and
     the walker ``qseries._quotients`` gives b_M at the shift RM. Each term
     takes its geometric step on a copy: three steps per M >= 1, O(N^2 / R).
+    The two product factors are taken by Euler sums, as in ``_product_sum_f``.
     """
     acc = [0] * (N + 1)
     partial = [0] * (N + 1)  # C_M, cut to the coefficients that survive RM
@@ -417,7 +420,7 @@ def _mao_double_sum(R: int, A: int, N: int) -> IntSeries:
         term = list(partial)
         _div_one_minus_list(term, A + e)
         _add_shifted(acc, term, e)
-    return IntSeries._from_list(acc, N) * pochhammer(A, R, N) * _euler(R, N)
+    return IntSeries._from_list(_euler_sum(A, R, _euler_sum(R, R, acc)), N)
 
 
 def i_series_closed(idx: int, P: TruncParams) -> IntSeries:
@@ -482,11 +485,12 @@ def decomposition_check(P: TruncParams) -> CheckReport:
 
 def gz_series(k: int, N: int) -> IntSeries:
     """Signed k-truncated odd-weighted triangular sum over the cubed Euler
-    product; the sign (-1)^k makes nonnegativity from q^1 the literal claim."""
+    product; the sign (-1)^k, folded into the weights of the sparse sum,
+    makes nonnegativity from q^1 the literal claim."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    series = _theta_sum(1, 0, 0, N, k + 1, u=2) * _inv_euler_cubed(N)
-    return series.scale(_sign(k))
+    sign = _sign(k)
+    return _theta_sum(1, 0, 0, N, k + 1, u=2 * sign, v=sign) * _inv_euler_cubed(N)
 
 
 def gz_check(k: int, N: int) -> CheckReport:

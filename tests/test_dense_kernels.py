@@ -9,6 +9,10 @@ the binomial from the Pascal recurrence, kept as the reference: every
 result must be equal, coefficient for coefficient and in its order. The
 timing-free gates count the work the dense forms do at fixed points.
 """
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qtrunc import qseries, trunclab
 from qtrunc.qseries import IntSeries, pochhammer
 from qtrunc.trunclab import (
@@ -146,6 +150,21 @@ def test_mao_double_sum_matches_series_form():
     assert _mao_double_sum(5, 3, 600) == series_mao_double_sum(5, 3, 600)
 
 
+@given(st.integers(1, 8).flatmap(
+    lambda R: st.tuples(st.just(R), st.integers(1, 3 * R + 1), st.integers(0, 150))))
+@settings(max_examples=60, deadline=None)
+def test_euler_sums_match_the_product_route(point):
+    """The two product factors of each sum, taken by Euler sums, against the
+    bare sum (Euler sums stubbed out) times the expanded (q^R; q^R)_inf
+    and (q^A; q^R)_inf by series products."""
+    R, A, N = point
+    for build in (_product_sum_f, _mao_double_sum):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trunclab, "_euler_sum", lambda a, step, base: base)
+            bare = build(R, A, N)
+        assert build(R, A, N) == bare * pochhammer(R, R, N) * pochhammer(A, R, N), build
+
+
 def test_am_rhs_matches_series_form():
     for k in range(1, 5):
         assert am_rhs(k, 300) == series_am_rhs(k, 300), k
@@ -202,10 +221,10 @@ def test_mao_double_sum_takes_three_steps_per_M(monkeypatch):
     """Timing-free gate: summed by parts over M = n + m, the double sum
     takes two walker steps per 1 <= M <= N // R and one step on a copy per
     M <= N // R, within 3 (N // R + 1), each on the N - RM + 1
-    coefficients that survive the shift RM. Its two Euler-product factors
-    are stubbed out, so only the sum's own steps are counted."""
-    monkeypatch.setattr(trunclab, "pochhammer", lambda a, step, order: IntSeries.one(order))
-    monkeypatch.setattr(trunclab, "_euler", lambda R, N: IntSeries.one(N))
+    coefficients that survive the shift RM. The Euler sums of its two
+    product factors are stubbed out, so only the sum's own steps are
+    counted."""
+    monkeypatch.setattr(trunclab, "_euler_sum", lambda a, step, base: base)
     steps = _count_steps(monkeypatch)
     _mao_double_sum(5, 3, 600)
     expected = [(3, 601)]
@@ -234,7 +253,6 @@ def test_mao_series_objects_do_not_grow_with_order(monkeypatch):
     monkeypatch.setattr(IntSeries, "_from_list", classmethod(counting_from_list))
     counts = []
     for N in (120, 480):
-        trunclab._euler.cache_clear()
         built.clear()
         assert mao_check(TruncParams(5, 2, 1, N)).passed
         counts.append(len(built))
@@ -251,20 +269,25 @@ def test_decomposition_expands_its_triple_product_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_mao_expands_its_euler_factor_once(monkeypatch):
-    """Timing-free gate: every base of the mao checks at one (R, N), over
-    all k as the CLI runs them, shares a single (q^R; q^R)_inf, next to one
-    (q^A; q^R)_inf per base."""
-    trunclab._euler.cache_clear()
+def test_mao_takes_its_product_factors_by_euler_sums(monkeypatch):
+    """Timing-free gate: every mao series at one (R, N), over all k as the
+    CLI runs them, multiplies its sum by (q^R; q^R)_inf and then by
+    (q^A; q^R)_inf by two Euler sums, and reaches no product kernel and no
+    expanded product."""
+    forbidden = [_count_calls(monkeypatch, qseries, name)
+                 for name in ("_kronecker_mul", "_schoolbook_mul", "_mul_lists",
+                              "pochhammer")]
+    forbidden.append(_count_calls(monkeypatch, trunclab, "pochhammer"))
     calls = []
-    real = trunclab.pochhammer
+    real = trunclab._euler_sum
 
-    def recording(a, step, order):
-        calls.append((a, step, order))
-        return real(a, step, order)
+    def recording(a, step, base):
+        calls.append((a, step, len(base)))
+        return real(a, step, base)
 
-    monkeypatch.setattr(trunclab, "pochhammer", recording)
+    monkeypatch.setattr(trunclab, "_euler_sum", recording)
     for k in range(1, 5):
         assert mao_check(TruncParams(5, 1, k, 500)).passed, k
-    bases = [(5 * k + sign, 5, 500) for k in range(1, 5) for sign in (-1, 1)]
-    assert sorted(calls) == sorted([(5, 5, 500)] + bases)
+    assert all(c == [] for c in forbidden)
+    assert calls == [call for k in range(1, 5) for A in (5 * k - 1, 5 * k + 1)
+                     for call in ((5, 5, 501), (A, 5, 501))]

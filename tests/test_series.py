@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtrunc import cli, qseries, trunclab
+from qtrunc import cli, qseries
 from qtrunc import (
     IntSeries,
     bilateral_theta,
@@ -488,7 +488,6 @@ def test_product_expansions_take_no_factor_steps(monkeypatch, capsys):
 
     monkeypatch.setattr(qseries, "_times_one_minus_list", no_factor_steps)
     monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
-    trunclab._euler_cubed.cache_clear()
     assert pochhammer(1, 1, 120).dense() == factor_steps((1,), 1, 120)
     assert triple_product(5, 2, 120).dense() == factor_steps((2, 3, 5), 5, 120)
     for argv in (["verify", "pentagonal", "--N", "120"],

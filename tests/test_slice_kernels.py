@@ -9,7 +9,7 @@ equal, element for element. The running-quotient walker behind the q-series
 sums is checked against the per-element division of the uncut list. The
 timing-free gates count p(n) reads at the benchmark's points, the product
 kernels and geometric steps of the triple product and of its reciprocal,
-and which route the geometric step takes.
+which route the geometric step takes, and how many series the memos keep.
 """
 
 from itertools import accumulate
@@ -334,3 +334,20 @@ def test_inverse_triple_product_forms_no_product_and_no_inversion(monkeypatch, c
     # and inverts nothing
     for name in ("triple_product", "trunclab.triple_product", "invert"):
         assert forbidden[name] == [], name
+
+
+@pytest.mark.parametrize("suite, memo", [("conjecture", "_inv_triple"),
+                                         ("decomposition", "_triple"),
+                                         ("gz", "_inv_euler_cubed")])
+def test_memos_keep_one_entry_across_sweeps(suite, memo, monkeypatch, capsys):
+    """A CLI sweep holds (R, S, N) fixed, so each memo misses once per
+    sweep; three sweeps at three orders in one process leave one entry."""
+    monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
+    cache = getattr(trunclab, memo)
+    cache.cache_clear()
+    window = [] if suite == "gz" else ["--R", "5", "--S", "2"]
+    for sweeps, N in enumerate((100, 200, 300), 1):
+        assert cli.main(["verify", suite, *window, "--kmax", "3", "--N", str(N)]) == 0
+        capsys.readouterr()
+        info = cache.cache_info()
+        assert (info.currsize, info.misses) == (1, sweeps), N
