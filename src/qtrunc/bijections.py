@@ -10,8 +10,6 @@ verifiers certify partition by partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import (
     Partition,
     _conjugate,
@@ -23,19 +21,20 @@ from .partitions import (
     p_euler,
     set_a_size,
 )
-from .report import CheckReport
+from .report import CheckReport, _Record
 
 
-@dataclass(frozen=True)
-class IndexedPartition:
+class IndexedPartition(_Record):
     """A partition tagged with its pentagonal index j and ambient weight n.
 
     Invariant: weight(lam) == n - gpn(j) >= 0.
     """
 
-    lam: Partition
-    j: int
-    n: int
+    __slots__ = _fields = ("lam", "j", "n")
+
+    def __init__(self, lam: Partition, j: int, n: int):
+        self._set(lam, j, n)
+        self.__post_init__()
 
     def __post_init__(self):
         _require_weight(self.lam.weight, self.j, self.n)

@@ -13,57 +13,55 @@ merged in parameter order regardless of completion order.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from types import ModuleType
-from typing import Callable
 
 from . import bijections, trunclab
 from .partitions import divisor_diff, jacobi_cube, m_k, set_a_size
 from .qseries import IntSeries, _require_window, bilateral_theta, triple_product
-from .report import CSV_COLUMNS, CheckReport
+from .report import CSV_COLUMNS, CheckReport, _Record
 from .trunclab import TruncParams, _require_half_window
 
 _ALIASES = {"mk": "mk-identity"}
 _GRID_FLAGS = ("R", "S", "k", "kmax", "m", "n", "nmax", "N")
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(_Record):
     """One axis of a grid: the flags it reads, and a function from the flags
     to the axis's values, each a dict of check parameters. The function
     validates the flags and fills in the defaults."""
 
-    flags: tuple[str, ...]
-    values: Callable[[dict], list[dict]]
+    __slots__ = _fields = ("flags", "values")
+
+    def __init__(self, flags: tuple[str, ...], values: Callable[[dict], list[dict]]):
+        self._set(flags, values)
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(_Record):
     """A coefficient table: its columns, the axes of its points, and the
     function from one point's parameters to that point's rows."""
 
-    columns: tuple[str, ...]
-    axes: tuple[Axis, ...]
-    rows: Callable[..., list[tuple]]
+    __slots__ = _fields = ("columns", "axes", "rows")
+
+    def __init__(self, columns: tuple[str, ...], axes: tuple[Axis, ...],
+                 rows: Callable[..., list[tuple]]):
+        self._set(columns, axes, rows)
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(_Record):
     """A suite: the name of its check in ``module``, the axes of its verify
     points, and its table, if it has one. The check is looked up when a
     point runs, never bound here, so a replaced check is the one called.
     With ``params`` set, the check takes the point as one TruncParams."""
 
-    module: ModuleType
-    check: str
-    axes: tuple[Axis, ...]
-    params: bool = False
-    table: Table | None = None
+    __slots__ = _fields = ("module", "check", "axes", "params", "table")
+
+    def __init__(self, module: ModuleType, check: str, axes: tuple[Axis, ...],
+                 params: bool = False, table: Table | None = None):
+        self._set(module, check, axes, params, table)
 
 
 def _positive(name: str, value: int) -> int:
@@ -261,6 +259,8 @@ def _render_verify(args: argparse.Namespace, reports: list[CheckReport]) -> str:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.format == "csv":
+        import csv  # imported here, like the pool: only CSV output needs it
+        import io
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
@@ -309,6 +309,8 @@ def _render_table(args: argparse.Namespace, columns: tuple[str, ...],
         doc = [dict(zip(columns, row)) for row in rows]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.format == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

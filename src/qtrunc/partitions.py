@@ -17,19 +17,23 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from operator import add, ge
-from typing import Iterator
 
 from .qseries import IntSeries, _require_window, _theta_sum
+from .report import _Record
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A non-increasing tuple of positive integers; () is the partition of 0."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts", "_weight")
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...] = ()):
+        self._set(parts)
+        self.__post_init__()
 
     def __post_init__(self):
         parts = tuple(self.parts)

@@ -85,10 +85,10 @@ its list, so arithmetic pays nothing for the check.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, compress, count, repeat
 from math import isqrt
 from operator import add, mul, sub
-from typing import Iterable, Iterator
 
 # The schoolbook pass takes a product whose sparser operand has at most
 # _SCHOOLBOOK_MAX_TERMS nonzero terms, or at most _SCHOOLBOOK_TERMS_PER_BYTE

@@ -10,11 +10,10 @@ infinite sum is cut by an exponent bound, never by term count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations, compress, count, repeat
 from operator import add, lt, mul, ne, sub
-from typing import Iterator
 
 from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
 from .qseries import (
@@ -32,24 +31,19 @@ from .qseries import (
     pochhammer,
     triple_product,
 )
-from .report import CheckReport
+from .report import CheckReport, _Record
 
 
-@dataclass(frozen=True)
-class TruncParams:
+class TruncParams(_Record):
     """Parameter tuple (R, S, truncation depth k, series order N)."""
 
-    R: int
-    S: int
-    k: int
-    N: int
+    __slots__ = _fields = ("R", "S", "k", "N")
 
-    def __post_init__(self):
-        if self.R < 1 or self.S < 1 or self.k < 1:
-            raise ValueError(
-                f"R, S, k must be positive, got R={self.R}, S={self.S}, k={self.k}"
-            )
-        _require_nonnegative("N", self.N)
+    def __init__(self, R: int, S: int, k: int, N: int):
+        if R < 1 or S < 1 or k < 1:
+            raise ValueError(f"R, S, k must be positive, got R={R}, S={S}, k={k}")
+        _require_nonnegative("N", N)
+        self._set(R, S, k, N)
 
 
 def _sign(j: int) -> int:

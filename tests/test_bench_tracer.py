@@ -86,3 +86,23 @@ def test_tracer_wraps_and_restores_the_library(monkeypatch):
         now = vars(owner)
         moved = [name for name, value in saved.items() if now.get(name) is not value]
         assert not moved, (owner, moved)
+
+
+def test_tracer_counts_constructed_partitions(monkeypatch):
+    """``partitions.objects`` and ``bijections.indexed`` count one per object
+    built, through the ``__post_init__`` hooks the tracer wraps."""
+    from qtrunc import IndexedPartition, Partition
+
+    monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        before = tracer.totals()
+        lams = [Partition((2,)), Partition((1, 1)), Partition()]
+        IndexedPartition(lams[0], -1, 3)
+        IndexedPartition(lams[1], 0, 2)
+        after = tracer.totals()
+    finally:
+        tracer.uninstall()
+    assert after["partitions.objects"] - before["partitions.objects"] == 3
+    assert after["bijections.indexed"] - before["bijections.indexed"] == 2

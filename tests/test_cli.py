@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism, worker pool."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -27,8 +28,8 @@ def test_verify_pass_exit_zero(capsys):
     assert err == ""
 
 
-def test_verify_violation_exit_one(capsys, monkeypatch):
-    """A single reported violation anywhere in the grid must force exit 1."""
+def _rig_gz(monkeypatch):
+    """Replace gz's check by one that reports a violation at k = 2."""
     def rigged(k, N):
         report = CheckReport("gz", {"k": k, "N": N})
         if k == 2:
@@ -36,11 +37,34 @@ def test_verify_violation_exit_one(capsys, monkeypatch):
         return report
 
     monkeypatch.setattr("qtrunc.trunclab.gz_check", rigged)
+
+
+def test_verify_violation_exit_one(capsys, monkeypatch):
+    """A single reported violation anywhere in the grid must force exit 1."""
+    _rig_gz(monkeypatch)
     code, out, _ = run_cli(["verify", "gz", "--kmax", "3", "--N", "10"], capsys)
     assert code == 1
     assert "[FAIL] gz k=2" in out
     assert "witness=5" in out and "actual=-1" in out
     assert "2/3 points passed" in out
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the rigged check reaches pool workers only by fork")
+def test_worker_pool_carries_violations(tmp_path, capsys, monkeypatch):
+    """Reports that hold violations come back from the pool intact: the
+    pooled payload equals the serial one, byte for byte, and both exit 1."""
+    _rig_gz(monkeypatch)
+    argv = ["verify", "gz", "--kmax", "3", "--N", "10", "--format", "json"]
+    serial = tmp_path / "serial.json"
+    pooled = tmp_path / "pooled.json"
+    monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
+    assert cli.main(argv + ["--out", str(serial)]) == 1
+    monkeypatch.setenv("QTRUNC_WORKERS", "2")
+    assert cli.main(argv + ["--out", str(pooled)]) == 1
+    capsys.readouterr()
+    assert serial.read_bytes() == pooled.read_bytes()
+    assert b'"actual": -1' in serial.read_bytes()
 
 
 def test_verify_usage_errors_exit_two(capsys):
@@ -159,6 +183,19 @@ def test_import_leaves_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_dataclasses_typing_or_csv():
+    """Starting the CLI imports none of these: dataclasses pulls in inspect
+    (and with it ast, dis and tokenize), and csv is needed only by
+    --format csv. ``-S`` skips site, which may preload typing on its own."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, qtrunc.cli; print(sorted({'dataclasses', 'inspect', "
+            "'typing', 'csv'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_table_gz_csv_row_count(capsys):
