@@ -21,6 +21,7 @@ from .partitions import (
     p_euler,
     set_a_size,
 )
+from .qseries import _require_positive
 from .report import CheckReport, _Record
 
 
@@ -92,8 +93,7 @@ def phi(x: IndexedPartition) -> tuple[IndexedPartition, int]:
 
 def _psi(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
     """psi on a partition tuple, with the preconditions of ``psi``."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _require_positive("k", k)
     rank = _rank(parts)
     if rank > -3 * k:
         raise ValueError(f"rank {rank} violates the precondition rank <= {-3 * k}")
@@ -140,8 +140,7 @@ def verify_phi(n: int) -> CheckReport:
     does the per-element reporter ``_phi_report`` run, so a failing report
     and a raised ValueError are the reporter's.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require_positive("n", n)
     indices = [j for j in range(-n, n + 1) if gpn(j) <= n]
     if _phi_orbits(n, indices):
         report = CheckReport("phi", {"n": n})

@@ -21,7 +21,13 @@ from types import ModuleType
 
 from . import bijections, trunclab
 from .partitions import divisor_diff, jacobi_cube, m_k, set_a_size
-from .qseries import IntSeries, _require_window, bilateral_theta, triple_product
+from .qseries import (
+    IntSeries,
+    _require_positive,
+    _require_window,
+    bilateral_theta,
+    triple_product,
+)
 from .report import CSV_COLUMNS, CheckReport, _Record
 from .trunclab import TruncParams, _require_half_window
 
@@ -65,8 +71,7 @@ class Suite(_Record):
 
 
 def _positive(name: str, value: int) -> int:
-    if value < 1:
-        raise ValueError(f"--{name} must be positive, got {value}")
+    _require_positive(f"--{name}", value)
     return value
 
 

@@ -1,9 +1,13 @@
 """Integer partitions and their statistics.
 
-Provides exhaustive enumeration, the sparse pentagonal recurrence for p(n),
-Dyson's rank, conjugation, generalized pentagonal numbers, the rank-filtered
-sets behind the truncated pentagonal inequalities, the sieve count M_k(n),
-and divisor-class counts.
+Provides exhaustive enumeration, p(n), Dyson's rank, conjugation,
+generalized pentagonal numbers, the rank-filtered sets behind the truncated
+pentagonal inequalities, the sieve count M_k(n), and divisor-class counts.
+
+p(0..M) is the inverse of the pentagonal sum (q; q)_inf, the bilateral
+theta sum at (R, S) = (3, 1); ``IntSeries.invert`` runs Euler's recurrence
+over its nonzero degrees. The p list and the rank table below grow through
+one memo, ``_Grown``, which rebuilds a table to twice its reach at need.
 
 Rank-class sizes are read from a table of N(r, m) built from the
 Durfee-square series, in polynomial time and without enumeration, theta
@@ -21,7 +25,13 @@ from collections.abc import Iterator
 from functools import lru_cache
 from operator import add, ge
 
-from .qseries import IntSeries, _require_window, _theta_sum
+from .qseries import (
+    IntSeries,
+    _require_positive,
+    _require_window,
+    _theta_sum,
+    bilateral_theta,
+)
 from .report import _Record
 
 
@@ -67,8 +77,7 @@ def _require_partition(parts: tuple[int, ...]) -> None:
     """Raise the ValueError that ``Partition(parts)`` raises, if any."""
     if parts and (parts[-1] < 1 or not all(map(ge, parts, parts[1:]))):
         for i, p in enumerate(parts):
-            if p < 1:
-                raise ValueError(f"parts must be positive, got {p}")
+            _require_positive("parts", p)
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be non-increasing, got {parts}")
 
@@ -128,63 +137,50 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return [Partition(t) for t in _partition_tuples(n)]
 
 
-# p(n) memo. It is append-only, so a reader of an index already computed
-# needs no lock; growing it is check-then-append, so writers take the lock.
-_pcache = [1]
-_pcache_lock = threading.Lock()
+class _Grown:
+    """A memo table whose rows 0..M are built together by ``build(M)``.
+
+    A read past the table's reach rebuilds it, under one lock, to
+    max(M, twice the reach), so a sweep over rising M builds it O(log M)
+    times. The table is only ever replaced by a complete, larger one, so a
+    reader takes one reference and needs no lock.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.table: list = []
+        self.lock = threading.Lock()
+
+    def upto(self, M: int) -> list:
+        """The table, reaching at least row M."""
+        table = self.table
+        if len(table) <= M:
+            with self.lock:
+                if len(self.table) <= M:
+                    self.table = self.build(max(M, 2 * (len(self.table) - 1)))
+                table = self.table
+        return table
+
+
+def _pentagonal_counts(M: int) -> list[int]:
+    """p(0..M) as the inverse of (q; q)_inf, the bilateral theta sum at
+    (R, S) = (3, 1): ``IntSeries.invert`` runs Euler's pentagonal
+    recurrence over its nonzero degrees, the generalized pentagonal numbers."""
+    return bilateral_theta(3, 1, M).invert().dense()
+
+
+_p_table = _Grown(_pentagonal_counts)
 
 
 def p_euler(n: int) -> int:
-    """p(n) via the sparse pentagonal recurrence; 0 for negative n."""
-    if n < 0:
-        return 0
-    if n >= len(_pcache):
-        with _pcache_lock:
-            while len(_pcache) <= n:
-                m = len(_pcache)
-                total = 0
-                j = 1
-                while True:
-                    g = j * (3 * j - 1) // 2
-                    if g > m:
-                        break
-                    sign = 1 if j % 2 else -1
-                    total += sign * _pcache[m - g]
-                    g = j * (3 * j + 1) // 2
-                    if g <= m:
-                        total += sign * _pcache[m - g]
-                    j += 1
-                _pcache.append(total)
-    return _pcache[n]
+    """p(n), read from the memoized inverse of the pentagonal sum; 0 for
+    negative n."""
+    return _p_table.upto(n)[n] if n >= 0 else 0
 
 
 def gpn(j: int) -> int:
     """Generalized pentagonal number j(3j+1)/2, defined for all integers j."""
     return j * (3 * j + 1) // 2
-
-
-# Rank table: _rtable[m][r + m] = N(r, m), the number of partitions of m
-# with rank r, for every m < len(_rtable). It is only ever replaced by a
-# complete, larger table, so a reader takes one reference and needs no lock;
-# builders take the lock.
-_rtable: list[list[int]] = [[1]]
-_rtable_lock = threading.Lock()
-
-
-def _rank_table(M: int) -> list[list[int]]:
-    """Rows ``table[m][r + m] = N(r, m)`` for at least every m <= M.
-
-    The table grows to max(M, twice its current reach), so a sweep over
-    rising weights rebuilds it O(log M) times rather than at every weight.
-    """
-    global _rtable
-    table = _rtable
-    if len(table) <= M:
-        with _rtable_lock:
-            if len(_rtable) <= M:
-                _rtable = _durfee_ranks(max(M, 2 * (len(_rtable) - 1)))
-            table = _rtable
-    return table
 
 
 def _durfee_ranks(M: int) -> list[list[int]]:
@@ -223,6 +219,11 @@ def _durfee_ranks(M: int) -> list[list[int]]:
     return out
 
 
+# _rank_memo.upto(M)[m][r + m] = N(r, m), the number of partitions of m
+# with rank r, for at least every m <= M
+_rank_memo = _Grown(_durfee_ranks)
+
+
 def _rank_class(variant: int, j: int, n: int) -> list[tuple[int, ...]]:
     """Partition tuples of n - gpn(j) with rank <= 3j (variant 1) or > 3j."""
     m = n - gpn(j)
@@ -243,8 +244,7 @@ def set_a(variant: int, j: int, n: int) -> list[Partition]:
     """
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require_positive("n", n)
     return [Partition(parts) for parts in _rank_class(variant, j, n)]
 
 
@@ -252,12 +252,11 @@ def set_a_size(variant: int, j: int, n: int) -> int:
     """|set_a(variant, j, n)| without materializing the partitions."""
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require_positive("n", n)
     m = n - gpn(j)
     if m < 0:
         return 0
-    row = _rank_table(m)[m]
+    row = _rank_memo.upto(m)[m]
     cut = max(0, 3 * j + m + 1)  # row[:cut] holds the ranks <= 3j
     return sum(row[:cut]) if variant == 1 else sum(row[cut:])
 
@@ -296,8 +295,7 @@ def _m_k_counts(n: int) -> tuple[int, ...]:
 def divisor_diff(n: int, R: int, S: int) -> int:
     """Number of divisors of n congruent to S mod R, minus those congruent
     to R-S mod R."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require_positive("n", n)
     _require_window(R, S)
     diff = 0
     d = 1

@@ -66,15 +66,15 @@ base / (q^a; q^s)_infinity = sum_k q^(k(a + s(k-1))) base / ((q^s; q^s)_k (q^a; 
 in about 2 sqrt(N/s) geometric steps. inverse_triple_product chains three,
 so the denominator of a theta quotient is neither expanded nor inverted
 one coefficient at a time; IntSeries.invert remains for the cube of the
-Euler product and the public API.
+Euler product, for p(n) in partitions and for the public API.
 
 _theta_sum is the one builder of the sparse theta-type sums
 sum_j (-1)^j (u j + v) q^(R j(j+1)/2 + b j + c): the bilateral theta sum
-and its k-term cuts, the index-weighted numerator of d_series, mao's
-alternating sums, the I1-I4 blocks, the Jacobi cube and the gz numerator.
-The pentagonal and jacobi-cube suites certify it against the product
-expansions, so they compare Euler's distinct-parts sum with the bilateral
-theta sum.
+and its k-term cuts, the index-weighted numerator of d_series and
+index_weighted_sums, mao's alternating sums, the I1-I4 blocks, the Jacobi
+cube and the gz numerator. The pentagonal and jacobi-cube suites certify
+it against the product expansions, so they compare Euler's distinct-parts
+sum with the bilateral theta sum.
 
 Coefficients must be of type int; bool is rejected too, since a bool
 coefficient is almost always a comparison result that leaked in. The public
@@ -285,16 +285,14 @@ class IntSeries:
 
     def times_one_minus(self, e: int) -> IntSeries:
         """Multiply by (1 - q^e) in O(order) time."""
-        if e < 1:
-            raise ValueError(f"exponent must be positive, got {e}")
+        _require_positive("exponent", e)
         out = self.dense()
         _times_one_minus_list(out, e)
         return IntSeries._from_list(out, self.order)
 
     def div_one_minus(self, e: int) -> IntSeries:
         """Divide by (1 - q^e), i.e. multiply by the geometric series in q^e."""
-        if e < 1:
-            raise ValueError(f"exponent must be positive, got {e}")
+        _require_positive("exponent", e)
         out = self.dense()
         _div_one_minus_list(out, e)
         return IntSeries._from_list(out, self.order)
@@ -408,6 +406,12 @@ def _require_nonnegative(name: str, value: int) -> None:
     """Reject a negative order, degree or count."""
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _require_positive(name: str, value: int) -> None:
+    """Reject a count, weight or exponent below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _require_window(R: int, S: int) -> None:

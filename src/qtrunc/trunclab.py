@@ -13,15 +13,16 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations, compress, count, repeat
-from operator import add, lt, mul, ne, sub
+from operator import add, lt, ne, sub
 
-from .partitions import divisor_diff, gpn, jacobi_cube, m_k, p_euler, set_a_size
+from .partitions import _p_table, divisor_diff, jacobi_cube, m_k, set_a_size
 from .qseries import (
     IntSeries,
     _div_one_minus_list,
     _euler_sum,
     _quotients,
     _require_nonnegative,
+    _require_positive,
     _require_window,
     _theta_sum,
     _times_one_minus_list,
@@ -115,8 +116,7 @@ def _negative_coeffs(series: IntSeries, n0: int) -> Iterator[tuple[int, int]]:
 def am_lhs(k: int, N: int) -> IntSeries:
     """k-truncated pentagonal alternating sum divided by the Euler product:
     the theta quotient at (R, S) = (3, 1), whose triple product is (q;q)_inf."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _require_positive("k", k)
     return bilateral_theta(3, 1, N, k) * _inv_triple(3, 1, N)
 
 
@@ -131,8 +131,7 @@ def am_rhs(k: int, N: int) -> IntSeries:
     running 1/(q;q)_(n-k), each term takes one more geometric step for
     1/(1 - q^n) on a copy, and the common 1/(q;q)_(k-1) is applied once.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _require_positive("k", k)
     _require_nonnegative("N", N)
     base = k * (k - 1) // 2
     acc = [0] * (N + 1)
@@ -257,16 +256,21 @@ def conjecture_check(P: TruncParams) -> CheckReport:
     return report
 
 
+def _index_theta(R: int, S: int, N: int, k: int | None = None) -> IntSeries:
+    """The index-weighted theta sum over -k <= j < k (every j when k is
+    None) of (-1)^j j q^(R j(j+1)/2 - S j), to order N: the numerator of
+    d_series and, at (R, S) = (3, 1), where the exponent is gpn(j), of
+    index_weighted_sums."""
+    # the term j = -(i+1) is (-1)^i (i+1) q^(R i(i+1)/2 + S i + S)
+    return _theta_sum(R, -S, 0, N, k, u=1, v=0) + _theta_sum(R, S, S, N, k, u=1)
+
+
 def d_series(P: TruncParams) -> IntSeries:
-    """Index-weighted truncated theta sum, over -k <= j < k of
-    (-1)^j j q^(R j(j+1)/2 - S j), over the triple product, minus the
-    divisor-difference series it approximates."""
+    """Index-weighted truncated theta sum (``_index_theta``) over the
+    triple product, minus the divisor-difference series it approximates."""
     _require_window(P.R, P.S)
     R, S, k, N = P.R, P.S, P.k, P.N
-    # the term j = -(i+1) is (-1)^i (i+1) q^(R i(i+1)/2 + S i + S)
-    numerator = (_theta_sum(R, -S, 0, N, k, u=1, v=0)
-                 + _theta_sum(R, S, S, N, k, u=1))
-    return numerator * _inv_triple(R, S, N) - lambert_diff(R, S, N)
+    return _index_theta(R, S, N, k) * _inv_triple(R, S, N) - lambert_diff(R, S, N)
 
 
 def theorem13_series(P: TruncParams) -> IntSeries:
@@ -289,23 +293,14 @@ def index_weighted_sums(nmax: int, k: int | None = None) -> list[int]:
     """For every 0 <= n <= nmax, the sum of (-1)^j j p(n - gpn(j)) over the
     j with gpn(j) <= n, restricted to -k <= j < k when k is given.
 
-    p(0..nmax) is read once. Each j then adds (-1)^j j p(m) to every
-    entry n = m + gpn(j) in one slice update. gpn(j) grows with |j| on each
-    side of 0, so j walks outward from 0 in both directions and stops at
-    the first gpn(j) > nmax: O(sqrt(nmax)) slice updates of O(nmax) each.
+    That is one product: the index-weighted theta sum at (R, S) = (3, 1),
+    whose exponent 3 j(j+1)/2 - j is gpn(j), times p(0..nmax) read once
+    from the memo of ``partitions.p_euler``. Its O(sqrt(nmax)) terms put
+    the product on the schoolbook pass, one slice update per j.
     """
     _require_nonnegative("nmax", nmax)
-    p = [p_euler(n) for n in range(nmax + 1)]
-    sums = [0] * (nmax + 1)
-    # j = 0 has weight 0
-    for j, step in ((1, 1), (-1, -1)):
-        while k is None or -k <= j < k:
-            g = gpn(j)
-            if g > nmax:
-                break
-            sums[g:] = map(add, sums[g:], map(mul, repeat(_sign(j) * j), p))
-            j += step
-    return sums
+    p = IntSeries._from_list(_p_table.upto(nmax)[:nmax + 1], nmax)
+    return (_index_theta(3, 1, nmax, k) * p).dense()
 
 
 def corollary14_report(k: int, nmax: int) -> CheckReport:
@@ -329,8 +324,7 @@ def corollary14_report(k: int, nmax: int) -> CheckReport:
 def recurrence_check(nmax: int) -> CheckReport:
     """Full (untruncated) index-weighted partition sum equals the divisor
     difference d_{1,3}(n) - d_{2,3}(n) for every 1 <= n <= nmax."""
-    if nmax < 1:
-        raise ValueError(f"nmax must be positive, got {nmax}")
+    _require_positive("nmax", nmax)
     report = CheckReport("recurrence117", {"nmax": nmax})
     sums = index_weighted_sums(nmax)
     for n in range(1, nmax + 1):
@@ -352,8 +346,7 @@ def _product_sum_f(R: int, A: int, N: int) -> IntSeries:
     The sum is multiplied by (q^R; q^R)_inf and then by (q^A; q^R)_inf by
     two Euler sums (``qseries._euler_sum``), as ``triple_product`` chains
     its factors, so no series product is formed."""
-    if A < 1:
-        raise ValueError(f"base exponent must be positive, got {A}")
+    _require_positive("base exponent", A)
     acc = [1] + [0] * N  # the term n = 0
     terms = ((R * n, (R * n, A + R * (n - 1))) for n in count(1))
     for e, term in _quotients([1] + [0] * N, terms):
@@ -446,18 +439,12 @@ def decomposition_check(P: TruncParams) -> CheckReport:
     """The signed triple product times d_series must equal the monomial-
     shifted combination (k-1)I1 + kI2 + I3 + I4, exactly to order N; each
     I divided by the triple product must be coefficientwise nonnegative.
-
-    The shift exponent (R k^2 + (R - 2S) k)/2 is asserted to be an integer
-    at runtime; a violation is reported, never rounded.
     """
     _require_window(P.R, P.S)
     R, S, k, N = P.R, P.S, P.k, P.N
     report = CheckReport("decomposition", {"R": R, "S": S, "k": k, "N": N})
-    numerator = R * k * k + (R - 2 * S) * k
-    if numerator % 2 != 0:
-        report.add({"check": "prefactor-integrality"}, "even numerator", numerator)
-        return report
-    shift = numerator // 2
+    # R k^2 + (R - 2S) k = R k(k+1) - 2S k is even for every integer k
+    shift = (R * k * k + (R - 2 * S) * k) // 2
     lhs = (_triple(R, S, N) * d_series(P)).scale(_sign(k - 1))
     blocks = [i_series(idx, P) for idx in (1, 2, 3, 4)]
     combo = blocks[0].scale(k - 1) + blocks[1].scale(k) + blocks[2] + blocks[3]
@@ -481,8 +468,7 @@ def gz_series(k: int, N: int) -> IntSeries:
     """Signed k-truncated odd-weighted triangular sum over the cubed Euler
     product; the sign (-1)^k, folded into the weights of the sparse sum,
     makes nonnegativity from q^1 the literal claim."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _require_positive("k", k)
     sign = _sign(k)
     return _theta_sum(1, 0, 0, N, k + 1, u=2 * sign, v=sign) * _inv_euler_cubed(N)
 
@@ -537,8 +523,7 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     1/(q^R;q^R)_(m-1) is applied once: nmax + m - 1 geometric steps in all.
     """
     _require_half_window(R, S)
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    _require_positive("m", m)
     _require_nonnegative("N", N)
     monomial = R * m * (m - 1) // 2
     if monomial > N:

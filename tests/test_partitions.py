@@ -1,8 +1,5 @@
 """Partition enumeration and statistics against independent counts."""
 
-import sys
-import threading
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +18,7 @@ from qtrunc import (
     set_a_size,
     triple_product,
 )
+from grown_memo import counting_builds, sweep_concurrently
 
 
 def count_partitions(n: int, max_part: int) -> int:
@@ -74,27 +72,52 @@ def test_p_euler_frozen_values():
     assert p_euler(-3) == 0
 
 
+def pentagonal_recurrence(M: int) -> list:
+    """p(0..M) by Euler's recurrence, one n at a time: p(m) is the signed
+    sum of p(m - g) over the generalized pentagonal numbers g <= m, the
+    loop p_euler ran before it read the inverse of the pentagonal sum."""
+    p = [1]
+    for m in range(1, M + 1):
+        total = 0
+        j = 1
+        while True:
+            g = j * (3 * j - 1) // 2
+            if g > m:
+                break
+            sign = 1 if j % 2 else -1
+            total += sign * p[m - g]
+            g = j * (3 * j + 1) // 2
+            if g <= m:
+                total += sign * p[m - g]
+            j += 1
+        p.append(total)
+    return p
+
+
+def test_p_euler_matches_pentagonal_recurrence():
+    assert [p_euler(n) for n in range(3001)] == pentagonal_recurrence(3000)
+
+
+def test_p_euler_memo_grows_geometrically(monkeypatch):
+    builds = counting_builds(monkeypatch, partitions._p_table)
+    for n in range(1, 201):
+        p_euler(n)
+    assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 256]
+
+
 def test_p_euler_memo_is_safe_under_concurrent_growth(monkeypatch):
-    """Four threads grow the memo from empty at once, with the interpreter
-    switching threads as often as it can; without the lock, two writers
-    appended the same index and the table came out wrong."""
-    serial = [p_euler(n) for n in range(3001)]
-    monkeypatch.setattr(partitions, "_pcache", [1])
-    results = []
-    threads = [threading.Thread(target=lambda: results.append(p_euler(3000)))
-               for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [serial[3000]] * 4
-    assert partitions._pcache == serial
+    """Four threads sweep rising weights from an empty memo at once, each
+    on its own stride, so their builds overlap. Every p(n) read must equal
+    one from a single-threaded build, and no size may be built twice: a
+    builder holds the lock until its table is published."""
+    serial = pentagonal_recurrence(3000)
+    builds = counting_builds(monkeypatch, partitions._p_table)
+    results = sweep_concurrently(p_euler, 3001)
+    for stride, got in results.items():
+        assert got == serial[stride::stride], stride
+    table = partitions._p_table.table
+    assert len(table) > 3000 and table[:3001] == serial
+    assert builds == sorted(set(builds))
 
 
 def test_partition_validation():

@@ -5,12 +5,11 @@ rank count it replaced, and the Atkin-Swinnerton-Dyer sum of p-values. The
 gates check that the class-size suites count without walking partitions.
 """
 
-import sys
-import threading
 from functools import cache
 
 from qtrunc import cli, gpn, mk_identity_check, partitions, set_a_size, theorem12_check
-from qtrunc.partitions import _durfee_ranks, _partition_tuples, _rank, _rank_table
+from qtrunc.partitions import _durfee_ranks, _partition_tuples, _rank
+from grown_memo import counting_builds, sweep_concurrently
 
 
 @cache
@@ -46,7 +45,7 @@ def asd_rank_at_least(M, m, p):
 
 
 def test_rank_table_matches_enumeration_at_every_rank():
-    table = _rank_table(45)
+    table = partitions._rank_memo.upto(45)
     for m in range(46):
         counts = enumerated_rank_counts(m)
         assert len(table[m]) == 2 * m + 1
@@ -65,7 +64,7 @@ def test_set_a_size_matches_enumeration_filter():
 
 def test_rank_table_matches_asd_sum():
     p = euler_counts(400)
-    table = _rank_table(400)
+    table = partitions._rank_memo.upto(400)
     for m in (77, 120, 250, 400):
         assert sum(table[m]) == p[m]
         for M in range(-12, 40, 3):
@@ -73,10 +72,7 @@ def test_rank_table_matches_asd_sum():
 
 
 def test_rank_table_grows_geometrically(monkeypatch):
-    builds = []
-    monkeypatch.setattr(partitions, "_rtable", [[1]])
-    monkeypatch.setattr(partitions, "_durfee_ranks",
-                        lambda M: builds.append(M) or _durfee_ranks(M))
+    builds = counting_builds(monkeypatch, partitions._rank_memo)
     for n in range(1, 201):
         set_a_size(2, 0, n)
     assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -84,40 +80,22 @@ def test_rank_table_grows_geometrically(monkeypatch):
 
 def test_rank_table_is_safe_under_concurrent_growth(monkeypatch):
     """Four threads sweep rising weights from an empty table at once, each
-    on its own stride, so their builds overlap, with the interpreter
-    switching threads as often as it can. Every class size read during the
-    sweeps must equal one from a single-threaded build, every table handed
-    out must be complete and reach its request, and no size may be built
-    twice: a builder holds the lock until its table is published."""
+    on its own stride, so their builds overlap. Every class size read during
+    the sweeps must equal one from a single-threaded build, every table
+    handed out must be complete and reach its request, and no size may be
+    built twice: a builder holds the lock until its table is published."""
     serial = _durfee_ranks(320)
-    monkeypatch.setattr(partitions, "_rtable", [[1]])
-    builds = []
-    monkeypatch.setattr(partitions, "_durfee_ranks",
-                        lambda M: builds.append(M) or _durfee_ranks(M))
-    results = {}
+    builds = counting_builds(monkeypatch, partitions._rank_memo)
 
-    def sweep(stride):
-        sizes = []
-        for m in range(stride, 160, stride):
-            table = _rank_table(m)
-            sizes.append((len(table) > m, table[m] == serial[m], set_a_size(2, 0, m)))
-        results[stride] = sizes
+    def read(m):
+        table = partitions._rank_memo.upto(m)
+        return len(table) > m, table[m] == serial[m], set_a_size(2, 0, m)
 
-    threads = [threading.Thread(target=sweep, args=(stride,)) for stride in (1, 2, 3, 5)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for stride in (1, 2, 3, 5):
-        assert results[stride] == [(True, True, sum(serial[m][m + 1:]))
-                                   for m in range(stride, 160, stride)], stride
-    table = partitions._rtable
+    results = sweep_concurrently(read, 160)
+    for stride, got in results.items():
+        assert got == [(True, True, sum(serial[m][m + 1:]))
+                       for m in range(stride, 160, stride)], stride
+    table = partitions._rank_memo.table
     assert len(table) >= 160 and table == serial[:len(table)]
     assert builds == sorted(set(builds))
 

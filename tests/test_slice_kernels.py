@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtrunc import cli, qseries, trunclab
+from qtrunc import cli, partitions, qseries, trunclab
 from qtrunc.partitions import gpn, p_euler
 from qtrunc.qseries import (
     _div_one_minus_list,
@@ -226,17 +226,20 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_index_sums_read_each_partition_count_once(monkeypatch):
-    """Timing-free gate: corollary14_report and recurrence_check read p(n)
-    at most nmax + 1 times, at the benchmark's points, instead of once per
-    (n, j) pair."""
-    reads = _count_calls(monkeypatch, trunclab, "p_euler")
-    for k in range(1, 7):
+    """Timing-free gate: at the benchmark's points, corollary14_report and
+    recurrence_check each read p(0..nmax) from the p(n) memo once, as one
+    table, and form one series product, the index-weighted theta sum times
+    that table, instead of one p(n) read and one slice update per (n, j)."""
+    reads = _count_calls(monkeypatch, partitions._p_table, "upto")
+    products = _count_calls(monkeypatch, qseries, "_mul_lists")
+    runs = [(2000, lambda k=k: corollary14_report(k, 2000)) for k in range(1, 7)]
+    runs.append((1200, lambda: recurrence_check(1200)))
+    for nmax, run in runs:
         reads.clear()
-        assert corollary14_report(k, 2000).passed, k
-        assert len(reads) <= 2001, (k, len(reads))
-    reads.clear()
-    assert recurrence_check(1200).passed
-    assert len(reads) <= 1201
+        products.clear()
+        assert run().passed, nmax
+        assert reads == [(nmax,)]
+        assert len(products) == 1
 
 
 def euler_sum_steps(a: int, step: int, order: int) -> list:

@@ -12,7 +12,20 @@ import pickle
 
 import pytest
 
-from qtrunc import CheckReport, IndexedPartition, Partition, TruncParams, Violation
+from qtrunc import (
+    CheckReport,
+    IndexedPartition,
+    IntSeries,
+    Partition,
+    TruncParams,
+    Violation,
+    divisor_diff,
+    psi,
+    set_a,
+    set_a_size,
+    trunclab,
+    verify_phi,
+)
 
 
 def _examples():
@@ -157,3 +170,28 @@ def test_pickle_round_trip(protocol):
             assert back.to_json() == value.to_json()
     lam = pickle.loads(pickle.dumps(Partition((4, 2, 1)), protocol))
     assert (lam.weight, lam.rank, lam.conjugate()) == (7, 1, Partition((3, 2, 1, 1)))
+
+
+
+def test_positivity_messages():
+    """Every single-value positivity check of the library raises through
+    ``qseries._require_positive`` with the message it has always had."""
+    one = IntSeries.one(5)
+    cases = [
+        ("exponent", 0, lambda: one.times_one_minus(0)),
+        ("exponent", -1, lambda: one.div_one_minus(-1)),
+        ("k", 0, lambda: trunclab.am_lhs(0, 5)),
+        ("k", 0, lambda: trunclab.am_rhs(0, 5)),
+        ("k", -2, lambda: trunclab.gz_series(-2, 5)),
+        ("k", 0, lambda: psi(Partition((1, 1, 1)), 0)),
+        ("m", 0, lambda: trunclab.wang_yee_rhs(3, 1, 0, 5)),
+        ("nmax", 0, lambda: trunclab.recurrence_check(0)),
+        ("base exponent", 0, lambda: trunclab._product_sum_f(3, 0, 5)),
+        ("n", 0, lambda: verify_phi(0)),
+        ("n", 0, lambda: set_a(1, 0, 0)),
+        ("n", -3, lambda: set_a_size(2, 0, -3)),
+        ("n", 0, lambda: divisor_diff(0, 3, 1)),
+    ]
+    for name, value, call in cases:
+        with pytest.raises(ValueError, match=rf"^{name} must be positive, got {value}$"):
+            call()
