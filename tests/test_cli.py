@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from qtrunc import CheckReport
-from qtrunc import cli
+from qtrunc import cli, trunclab
+from qtrunc.qseries import IntSeries
 
 
 def run_cli(argv, capsys):
@@ -28,15 +28,92 @@ def test_verify_pass_exit_zero(capsys):
     assert err == ""
 
 
-def _rig_gz(monkeypatch):
-    """Replace gz's check by one that reports a violation at k = 2."""
-    def rigged(k, N):
-        report = CheckReport("gz", {"k": k, "N": N})
-        if k == 2:
-            report.add(5, ">= 0", -1)
-        return report
+def _bump(bumps):
+    """A rig for a side function of trunclab: the series it returns gains
+    ``bumps``, a {degree: delta} map or a function from the side's
+    arguments to one."""
+    def rig(side):
+        def rigged(*args):
+            series = side(*args)
+            delta = bumps(*args) if callable(bumps) else bumps
+            return series + IntSeries(delta, series.order)
+        return rigged
+    return rig
 
-    monkeypatch.setattr("qtrunc.trunclab.gz_check", rigged)
+
+# gz's coefficient at q^5 is 0 at k = 2, so this makes it -1
+_GZ_RIG = _bump(lambda k, N: {5: -1} if k == 2 else {})
+
+
+def _rig_gz(monkeypatch):
+    """Rig gz's series side so that its coefficient at q^5 is -1 at k = 2;
+    the real check then finds the violation."""
+    monkeypatch.setattr(trunclab, "gz_series", _GZ_RIG(trunclab.gz_series))
+
+
+# One row per claim: the verify arguments, the side function of trunclab
+# that is rigged, the rig, and every violation the payload must then hold,
+# as (witness, expected, actual).
+RIGGED_SIDES = [
+    pytest.param(["am-identity", "--k", "2", "--N", "20"], "am_rhs",
+                 _bump({3: 1, 7: 1}), [(3, 1, 0), (7, 0, -1)], id="am-identity"),
+    pytest.param(["pentagonal", "--R", "3", "--S", "1", "--N", "20"], "triple_product",
+                 _bump({4: 1}), [({"check": "triple-vs-theta", "degree": 4}, 0, 1)],
+                 id="pentagonal-triple-vs-theta"),
+    pytest.param(["pentagonal", "--R", "3", "--S", "1", "--N", "20"], "pochhammer",
+                 _bump({5: -1}), [({"check": "euler-vs-theta", "degree": 5}, 1, 0)],
+                 id="pentagonal-euler-vs-theta"),
+    pytest.param(["jacobi-cube", "--N", "20"], "jacobi_cube",
+                 _bump({6: 1}), [(6, -6, -7)], id="jacobi-cube"),
+    pytest.param(["conjecture", "--R", "5", "--S", "2", "--k", "2", "--N", "30"],
+                 "conjecture_series", _bump({4: -50, 9: -50}),
+                 [(4, ">= 0", -50), (9, ">= 0", -50)], id="conjecture"),
+    pytest.param(["theorem13", "--R", "5", "--S", "2", "--k", "1", "--N", "30"],
+                 "lambert_diff", _bump({1: 100, 6: 100}),
+                 [(1, ">= 0", -100), (6, ">= 0", -99)], id="theorem13"),
+    pytest.param(["gz", "--kmax", "3", "--N", "10"], "gz_series", _GZ_RIG,
+                 [(5, ">= 0", -1)], id="gz"),
+    # corollary14 reads the divisor difference as its bound: >= at odd k,
+    # <= at even k
+    pytest.param(["corollary14", "--k", "1", "--nmax", "10"], "lambert_diff",
+                 _bump({4: 5}), [(4, ">= 6", 3)], id="corollary14-odd-k"),
+    pytest.param(["corollary14", "--k", "2", "--nmax", "10"], "lambert_diff",
+                 _bump({4: -5}), [(4, "<= -4", 1)], id="corollary14-even-k"),
+    pytest.param(["recurrence117", "--nmax", "12"], "divisor_diff",
+                 lambda side: lambda n, R, S: side(n, R, S) + (n in (1, 7)),
+                 [(1, 2, 1), (7, 3, 2)], id="recurrence117"),
+    pytest.param(["mao", "--R", "5", "--S", "2", "--k", "1", "--N", "30"], "_theta_sum",
+                 _bump({12: 1}),
+                 [({"series": "base R*k-S", "degree": 12}, 1, 0),
+                  ({"series": "base R*k+S", "degree": 12}, 1, 0)], id="mao"),
+    pytest.param(["decomposition", "--R", "5", "--S", "2", "--k", "1", "--N", "30"],
+                 "i_series", _bump(lambda idx, P: {2: 1} if idx == 4 else {}),
+                 [({"check": "identity", "degree": 5}, 1, 0)],
+                 id="decomposition-identity"),
+    # I3 and I4 enter the combination with weight 1 each, so moving 1000
+    # from one to the other keeps the identity; only the first negative
+    # degree of I3 over the triple product is reported
+    pytest.param(["decomposition", "--R", "5", "--S", "2", "--k", "1", "--N", "30"],
+                 "i_series", _bump(lambda idx, P: {2: {3: -1000, 4: 1000}.get(idx, 0)}),
+                 [({"check": "I3-positivity", "degree": 2}, ">= 0", -999)],
+                 id="decomposition-positivity"),
+    pytest.param(["wang-yee", "--R", "3", "--S", "1", "--m", "1", "--N", "20"],
+                 "wang_yee_rhs", _bump({9: 2}), [(9, 10, 8)], id="wang-yee"),
+]
+
+
+@pytest.mark.parametrize("argv, side, rig, violations", RIGGED_SIDES)
+def test_rigged_side_is_reported_through_the_cli(argv, side, rig, violations,
+                                                  capsys, monkeypatch):
+    """Every claim, with one side rigged, exits 1 and reports exactly the
+    rigged degrees, with the witness shape and the expected/actual values
+    the payload promises."""
+    monkeypatch.setattr(trunclab, side, rig(getattr(trunclab, side)))
+    code, out, _ = run_cli(["verify", *argv, "--format", "json"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert [v for point in doc["points"] for v in point["violations"]] == [
+        {"witness": w, "expected": e, "actual": a} for w, e, a in violations]
 
 
 def test_verify_violation_exit_one(capsys, monkeypatch):
