@@ -50,8 +50,11 @@ class _Record:
 class Violation(_Record):
     """One counterexample: where it happened, what was expected, what came out.
 
-    ``witness`` is JSON-serializable. For coefficient checks it is the degree
-    (an int); for bijection checks it is a dict naming the partition and index.
+    ``witness`` is JSON-serializable. For a series check it is the degree
+    (an int) or a dict of the degree under the check's tag, {"check": ...}
+    or {"series": ...}; for a bijection check it is a dict naming the
+    partition and index. ``expected`` is the other side's coefficient for
+    an equality claim, and the string ">= b" or "<= b" for a sign claim.
     """
 
     __slots__ = _fields = ("witness", "expected", "actual")
@@ -101,7 +104,8 @@ class CheckReport(_Record):
         """Flatten to rows with columns suite, R, S, k, n, expected, actual, pass.
 
         A passing report yields one summary row; a failing one yields a row
-        per violation with ``n`` taken from the witness when it is a degree.
+        per violation with ``n`` holding its witness: the degree, or the JSON
+        of a structured witness.
         """
         base = {
             "suite": self.suite,

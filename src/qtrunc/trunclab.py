@@ -6,14 +6,18 @@ difference) or renders a CheckReport verdict on an equality or a
 coefficientwise sign claim. All prefactor signs are folded into the named
 construction so that "nonnegative" is always the literal check, and every
 infinite sum is cut by an exponent bound, never by term count.
+
+Two scans over coefficient lists write every series verdict's witnesses:
+``_mismatches`` for an equality claim and ``_bounded`` for a sign claim
+(a coefficient at least, or at most, a bound). The witness is the bare
+degree, or the degree under the claim's tag.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import lru_cache
-from itertools import combinations, compress, count, repeat
-from operator import add, lt, ne, sub
+from itertools import combinations, compress, count
+from operator import add, gt, lt, ne, sub
 
 from .partitions import _p_table, divisor_diff, jacobi_cube, m_k, set_a_size
 from .qseries import (
@@ -96,17 +100,30 @@ def _add_shifted(acc: list[int], src: list[int], e: int, op=add) -> None:
         acc[e:end] = map(op, acc[e:end], src)
 
 
-def _diff_degrees(a: IntSeries, b: IntSeries) -> list[int]:
-    n = min(a.order, b.order)
-    return list(compress(range(n + 1), map(ne, a.dense(n), b.dense(n))))
+def _mismatches(report: CheckReport, actual: list[int], expected: list[int],
+                tag: dict | None = None, n0: int = 0) -> None:
+    """Add (witness, expected[d], actual[d]) to report for each degree d
+    from n0 up to the shorter list's end where the two lists differ,
+    lowest first: the scan behind every equality claim."""
+    for d in compress(count(n0), map(ne, actual[n0:], expected[n0:])):
+        report.add(d if tag is None else {**tag, "degree": d}, expected[d], actual[d])
 
 
-def _negative_coeffs(series: IntSeries, n0: int) -> Iterator[tuple[int, int]]:
-    """(degree, coefficient) of each negative coefficient of q^n0 .. q^order,
-    lowest degree first: the scan behind every sign claim."""
-    dense = series.dense()
-    for n in compress(count(n0), map(lt, dense[n0:], repeat(0))):
-        yield n, dense[n]
+def _bounded(report: CheckReport, actual: list[int], n0: int,
+             bound: list[int] | None = None, upper: bool = False,
+             tag: dict | None = None, first: bool = False) -> None:
+    """Add (witness, ">= b", actual[d]) to report for each degree d >= n0
+    where actual[d] is below its bound b, lowest first; with upper, the
+    claim is <= and the offenders are above it. A missing bound is 0, and
+    first stops at the first offender: the scan behind every sign claim."""
+    if bound is None:
+        bound = [0] * len(actual)
+    claim = "<=" if upper else ">="
+    for d in compress(count(n0), map(gt if upper else lt, actual[n0:], bound[n0:])):
+        report.add(d if tag is None else {**tag, "degree": d},
+                   f"{claim} {bound[d]}", actual[d])
+        if first:
+            break
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +168,7 @@ def am_rhs(k: int, N: int) -> IntSeries:
 def am_check(k: int, N: int) -> CheckReport:
     """Exact coefficient equality of am_lhs and am_rhs to order N."""
     report = CheckReport("am-identity", {"k": k, "N": N})
-    lhs = am_lhs(k, N)
-    rhs = am_rhs(k, N)
-    for d in _diff_degrees(lhs, rhs):
-        report.add(d, rhs.coeff(d), lhs.coeff(d))
+    _mismatches(report, am_lhs(k, N).dense(), am_rhs(k, N).dense())
     return report
 
 
@@ -196,16 +210,12 @@ def pentagonal_check(R: int, S: int, N: int) -> CheckReport:
     """
     _require_window(R, S)
     report = CheckReport("pentagonal", {"R": R, "S": S, "N": N})
-    theta = bilateral_theta(R, S, N)
-    prod = triple_product(R, S, N)
-    for d in _diff_degrees(prod, theta):
-        report.add({"degree": d, "check": "triple-vs-theta"},
-                   theta.coeff(d), prod.coeff(d))
+    theta = bilateral_theta(R, S, N).dense()
+    _mismatches(report, triple_product(R, S, N).dense(), theta,
+                {"check": "triple-vs-theta"})
     if (R, S) == (3, 1):
-        euler = pochhammer(1, 1, N)
-        for d in _diff_degrees(euler, theta):
-            report.add({"degree": d, "check": "euler-vs-theta"},
-                       theta.coeff(d), euler.coeff(d))
+        _mismatches(report, pochhammer(1, 1, N).dense(), theta,
+                    {"check": "euler-vs-theta"})
     return report
 
 
@@ -217,10 +227,7 @@ def jacobi_cube_check(N: int) -> CheckReport:
     the theta-type sum of ``jacobi_cube``, so the routes are independent.
     """
     report = CheckReport("jacobi-cube", {"N": N})
-    cube = _euler_cubed(N)
-    sparse = jacobi_cube(N)
-    for d in _diff_degrees(cube, sparse):
-        report.add(d, sparse.coeff(d), cube.coeff(d))
+    _mismatches(report, _euler_cubed(N).dense(), jacobi_cube(N).dense())
     return report
 
 
@@ -251,8 +258,7 @@ def conjecture_check(P: TruncParams) -> CheckReport:
         {"R": P.R, "S": P.S, "k": P.k, "N": P.N,
          "regime": conjecture_regime(P.R, P.S)},
     )
-    for n, c in _negative_coeffs(conjecture_series(P), 1):
-        report.add(n, ">= 0", c)
+    _bounded(report, conjecture_series(P).dense(), 1)
     return report
 
 
@@ -284,8 +290,7 @@ def theorem13_check(P: TruncParams) -> CheckReport:
     The constant term is exempt: the claim starts at q^1.
     """
     report = CheckReport("theorem13", {"R": P.R, "S": P.S, "k": P.k, "N": P.N})
-    for n, c in _negative_coeffs(theorem13_series(P), 1):
-        report.add(n, ">= 0", c)
+    _bounded(report, theorem13_series(P).dense(), 1)
     return report
 
 
@@ -311,13 +316,8 @@ def corollary14_report(k: int, nmax: int) -> CheckReport:
         raise ValueError(f"need k >= 1 and nmax >= 1, got k={k}, nmax={nmax}")
     direction = ">=" if k % 2 == 1 else "<="
     report = CheckReport("corollary14", {"k": k, "nmax": nmax, "direction": direction})
-    diffs = lambert_diff(3, 1, nmax).dense()
-    sums = index_weighted_sums(nmax, k)
-    for n in range(1, nmax + 1):
-        lhs = sums[n]
-        rhs = diffs[n]
-        if (k % 2 == 1 and lhs < rhs) or (k % 2 == 0 and lhs > rhs):
-            report.add(n, f"{direction} {rhs}", lhs)
+    _bounded(report, index_weighted_sums(nmax, k), 1, lambert_diff(3, 1, nmax).dense(),
+             upper=k % 2 == 0)
     return report
 
 
@@ -326,12 +326,9 @@ def recurrence_check(nmax: int) -> CheckReport:
     difference d_{1,3}(n) - d_{2,3}(n) for every 1 <= n <= nmax."""
     _require_positive("nmax", nmax)
     report = CheckReport("recurrence117", {"nmax": nmax})
-    sums = index_weighted_sums(nmax)
-    for n in range(1, nmax + 1):
-        lhs = sums[n]
-        rhs = divisor_diff(n, 3, 1)
-        if lhs != rhs:
-            report.add(n, rhs, lhs)
+    # trial division from degree 1; the 0 at degree 0 is not compared
+    trial = [0] + [divisor_diff(n, 3, 1) for n in range(1, nmax + 1)]
+    _mismatches(report, index_weighted_sums(nmax), trial, n0=1)
     return report
 
 
@@ -365,8 +362,7 @@ def mao_check(P: TruncParams) -> CheckReport:
         lhs = IntSeries.one(N) - _product_sum_f(R, A, N)
         # sum over j >= 1 of (-1)^(j+1) q^(R j(j-1)/2 + A j)
         rhs = _theta_sum(R, A, A, N)
-        for d in _diff_degrees(lhs, rhs):
-            report.add({"series": label, "degree": d}, rhs.coeff(d), lhs.coeff(d))
+        _mismatches(report, lhs.dense(), rhs.dense(), {"series": label})
     return report
 
 
@@ -447,16 +443,13 @@ def decomposition_check(P: TruncParams) -> CheckReport:
     shift = (R * k * k + (R - 2 * S) * k) // 2
     lhs = (_triple(R, S, N) * d_series(P)).scale(_sign(k - 1))
     blocks = [i_series(idx, P) for idx in (1, 2, 3, 4)]
-    combo = blocks[0].scale(k - 1) + blocks[1].scale(k) + blocks[2] + blocks[3]
-    rhs = combo.shifted(shift)
-    for d in _diff_degrees(lhs, rhs):
-        report.add({"check": "identity", "degree": d}, rhs.coeff(d), lhs.coeff(d))
+    rhs = blocks[0].scale(k - 1) + blocks[1].scale(k) + blocks[2] + blocks[3]
+    _mismatches(report, lhs.dense(), rhs.shifted(shift).dense(), {"check": "identity"})
     inv3 = _inv_triple(R, S, N)
     for idx, block in enumerate(blocks, 1):
         # only the first negative degree of each quotient is reported
-        for n, c in _negative_coeffs(block * inv3, 0):
-            report.add({"check": f"I{idx}-positivity", "degree": n}, ">= 0", c)
-            break
+        _bounded(report, (block * inv3).dense(), 0,
+                 tag={"check": f"I{idx}-positivity"}, first=True)
     return report
 
 
@@ -475,8 +468,7 @@ def gz_series(k: int, N: int) -> IntSeries:
 
 def gz_check(k: int, N: int) -> CheckReport:
     report = CheckReport("gz", {"k": k, "N": N})
-    for n, c in _negative_coeffs(gz_series(k, N), 1):
-        report.add(n, ">= 0", c)
+    _bounded(report, gz_series(k, N).dense(), 1)
     return report
 
 
@@ -558,9 +550,8 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
 def wang_yee_check(R: int, S: int, m: int, N: int) -> CheckReport:
     """m-truncated theta sum over the triple product versus its closed
     quadruple-sum series form (wang_yee_rhs), compared exactly to order N."""
-    rhs = wang_yee_rhs(R, S, m, N)
+    rhs = wang_yee_rhs(R, S, m, N).dense()
     report = CheckReport("wang-yee", {"R": R, "S": S, "m": m, "N": N})
     lhs = bilateral_theta(R, S, N, m) * _inv_triple(R, S, N)
-    for d in _diff_degrees(lhs, rhs):
-        report.add(d, rhs.coeff(d), lhs.coeff(d))
+    _mismatches(report, lhs.dense(), rhs)
     return report

@@ -11,15 +11,16 @@ import contextlib
 import io
 import os
 import re
+from operator import gt, lt, ne
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dict_series import DictSeries
-from qtrunc import cli, partitions, trunclab
+from qtrunc import CheckReport, cli, partitions, trunclab
 from qtrunc.qseries import IntSeries
-from qtrunc.trunclab import _diff_degrees, _negative_coeffs
+from qtrunc.trunclab import _bounded, _mismatches
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "qtrunc")
@@ -130,23 +131,43 @@ def test_invert_matches_the_dict_oracle(coeffs, order, c0):
         outcome(DictSeries(broken, order).invert)
 
 
-def dict_diff_degrees(a: IntSeries, b: IntSeries) -> list[int]:
-    """The degrees up to the smaller order where a and b differ, from the
-    two coefficient maps, as the dict storage computed them."""
+def dict_degrees(a: IntSeries, b: IntSeries, n0: int = 0, differ=ne) -> list[int]:
+    """The degrees from n0 up to the smaller order where differ holds for
+    the coefficients of a and b, from the two coefficient maps, as the dict
+    storage computed them. Both coefficients of a degree outside the maps
+    are 0, and differ is strict, so the maps' keys are enough."""
     n = min(a.order, b.order)
-    return sorted({d for d in a.coeffs.keys() | b.coeffs.keys()
-                   if d <= n and a.coeffs.get(d, 0) != b.coeffs.get(d, 0)})
+    ac, bc = a.coeffs, b.coeffs
+    return sorted({d for d in ac.keys() | bc.keys()
+                   if n0 <= d <= n and differ(ac.get(d, 0), bc.get(d, 0))})
 
 
-@given(coeff_maps, orders, coeff_maps, orders, st.integers(0, 2))
+def scanned(scan, *args, **kwargs) -> list[tuple]:
+    """The (witness, expected, actual) triples one scan adds to a report."""
+    report = CheckReport("scan", {})
+    scan(report, *args, **kwargs)
+    return [(v.witness, v.expected, v.actual) for v in report.violations]
+
+
+@given(coeff_maps, orders, coeff_maps, orders, st.integers(0, 2), st.booleans())
 @settings(max_examples=200, deadline=None)
-@example({5: 1}, 5, {}, 5, 0)
-@example({}, 7, {5: -1}, 5, 1)
-def test_scans_match_the_coefficient_maps(ca, oa, cb, ob, n0):
+@example({5: 1}, 5, {}, 5, 0, False)
+@example({}, 7, {5: -1}, 5, 1, False)
+@example({2: 3}, 4, {2: 5, 3: -1, 6: -2}, 6, 1, True)
+def test_scans_match_the_coefficient_maps(ca, oa, cb, ob, n0, upper):
+    """The equality scan reports where a and b differ; the sign scan where
+    b is below 0, and where it is below a, or above a with upper. Each
+    reports from n0 up to the shorter list's end, lowest degree first."""
     a, b = IntSeries(ca, oa), IntSeries(cb, ob)
-    assert _diff_degrees(a, b) == dict_diff_degrees(a, b)
-    assert list(_negative_coeffs(b, n0)) == sorted(
-        (d, c) for d, c in b.coeffs.items() if d >= n0 and c < 0)
+    ac, bc = a.coeffs, b.coeffs
+    assert scanned(_mismatches, a.dense(), b.dense(), n0=n0) == [
+        (d, bc.get(d, 0), ac.get(d, 0)) for d in dict_degrees(a, b, n0)]
+    assert scanned(_bounded, b.dense(), n0) == [
+        (d, ">= 0", bc[d]) for d in dict_degrees(b, IntSeries({}, ob), n0, lt)]
+    claim, differ = ("<=", gt) if upper else (">=", lt)
+    assert scanned(_bounded, b.dense(), n0, a.dense(), upper) == [
+        (d, f"{claim} {ac.get(d, 0)}", bc.get(d, 0))
+        for d in dict_degrees(b, a, n0, differ)]
 
 
 def clear_memos():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qtrunc import trunclab
 from qtrunc import (
+    CheckReport,
     TruncParams,
     am_check,
     am_lhs,
@@ -41,8 +42,8 @@ from qtrunc import (
 )
 from qtrunc.qseries import IntSeries, bilateral_theta, pochhammer
 from qtrunc.trunclab import (
+    _bounded,
     _mao_double_sum,
-    _negative_coeffs,
     _product_sum_f,
     conjecture_regime,
 )
@@ -202,12 +203,18 @@ def test_theta_numerator_is_the_bilateral_theta_cut():
 
 
 def test_negative_coeffs_reports_first_offender():
-    ok = IntSeries.from_dense([-5, 0, 2, 7])
-    assert list(_negative_coeffs(ok, 1)) == []
-    bad = IntSeries.from_dense([1, 2, -3, -4])
-    assert next(_negative_coeffs(bad, 0)) == (2, -3)
-    assert list(_negative_coeffs(bad, 0)) == [(2, -3), (3, -4)]
-    assert list(_negative_coeffs(bad, 3)) == [(3, -4)]
+    def negative_coeffs(coeffs, n0, first=False):
+        report = CheckReport("sign", {})
+        _bounded(report, coeffs, n0, first=first)
+        assert all(v.expected == ">= 0" for v in report.violations)
+        return [(v.witness, v.actual) for v in report.violations]
+
+    assert negative_coeffs([-5, 0, 2, 7], 1) == []
+    bad = [1, 2, -3, -4]
+    assert negative_coeffs(bad, 0, first=True) == [(2, -3)]
+    assert negative_coeffs(bad, 0) == [(2, -3), (3, -4)]
+    assert negative_coeffs(bad, 3) == [(3, -4)]
+    assert negative_coeffs(bad, 3, first=True) == [(3, -4)]
 
 
 def test_am_rhs_trivial_when_every_term_overshoots():
