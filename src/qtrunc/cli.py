@@ -294,8 +294,12 @@ def _render_verify(args: argparse.Namespace, reports: list[CheckReport]) -> str:
 
 def _emit(args: argparse.Namespace, payload: str, summary: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        # an unwritable path is a usage error (exit 2), not a violation
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
         print(summary)
     else:
         sys.stdout.write(payload)

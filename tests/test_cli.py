@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism, worker pool."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -227,6 +228,22 @@ def test_out_flag_writes_payload_and_prints_summary(tmp_path, capsys):
     assert out.strip() == "2/2 points passed"
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert doc["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [["verify", "gz", "--kmax", "1", "--N", "10"],
+                                  ["table", "gz", "--k", "1", "--N", "10"]],
+                         ids=["verify", "table"])
+@pytest.mark.parametrize("where, errno_", [(".", errno.EISDIR),
+                                           ("missing/report.txt", errno.ENOENT)],
+                         ids=["directory", "missing-parent"])
+def test_unwritable_out_is_a_usage_error(argv, where, errno_, tmp_path, capsys):
+    """A directory, or a path under a missing directory, exits 2 after the
+    grid has run, with one line on stderr, and not 1 with a traceback."""
+    target = tmp_path / where
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {target}: {os.strerror(errno_)}\n"
+    assert [p.name for p in tmp_path.iterdir()] == []
 
 
 def test_output_is_byte_identical_across_runs(tmp_path, capsys):

@@ -1,16 +1,18 @@
 """The dense-scratch forms of the identity suites against their IntSeries forms.
 
 wang_yee_rhs, _product_sum_f, _mao_double_sum and am_rhs sum into plain int
-lists and form no series product: wang_yee_rhs runs an order-four
-recurrence over n for its inner quadruple sum, and _mao_double_sum sums by
-parts over n + m. The functions below are the same constructions written
-as chains of IntSeries operations, with the whole convolution over n and
-the binomial from the Pascal recurrence, kept as the reference: every
-result must be equal, coefficient for coefficient and in its order. The
+lists and form no series product. wang_yee_rhs runs an order-four
+recurrence over n for its inner quadruple sum, _mao_double_sum sums by
+parts over n + m, and the two product-sum series take their product
+factors by Euler sums. The series_* functions below are their
+references: the same sums written term by term as IntSeries operations,
+with the product factors as expanded q-Pochhammer products and every
+Gaussian binomial from the Pascal recurrence of qbinomial.py. Every result
+must be equal, coefficient for coefficient and in its order. The
 timing-free gates count the work the dense forms do at fixed points.
 """
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtrunc import qseries, trunclab
@@ -25,6 +27,7 @@ from qtrunc.trunclab import (
     wang_yee_rhs,
 )
 from qbinomial import q_binomial
+from reference import record
 
 
 def series_wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
@@ -135,6 +138,27 @@ def test_wang_yee_rhs_matches_series_form():
                 (R, S, m, N)
 
 
+@st.composite
+def wang_yee_points(draw):
+    R = draw(st.integers(2, 9))
+    return (R, draw(st.integers(1, R // 2)), draw(st.integers(1, 5)),
+            draw(st.integers(0, 90)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wang_yee_points())
+# N = R m(m-1)/2 - 1 and N = R m(m-1)/2: no term, then the n = 0 slot alone
+@example((3, 1, 3, 8))
+@example((3, 1, 3, 9))
+# nmax = 1, 2, 3 and 3: the walk ends before the U_(n-2) or U_(n-4) term applies
+@example((5, 2, 2, 8))
+@example((4, 1, 2, 11))
+@example((4, 1, 1, 11))
+@example((2, 1, 2, 5))
+def test_wang_yee_rhs_recurrence_matches_series_form(point):
+    assert wang_yee_rhs(*point) == series_wang_yee_rhs(*point)
+
+
 def test_product_sum_f_matches_series_form():
     # every base exponent 5k -+ S of mao at R = 5, S = 1..4, k = 1..4
     bases = sorted({5 * k + sign * S for S in range(1, 5) for k in range(1, 5)
@@ -166,20 +190,10 @@ def test_euler_sums_match_the_product_route(point):
 
 
 def test_am_rhs_matches_series_form():
-    for k in range(1, 5):
-        assert am_rhs(k, 300) == series_am_rhs(k, 300), k
-
-
-def _count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
+    # N = 0 and 1 leave no term at any k; N = 7 is the first term at k = 2
+    for k in range(1, 6):
+        for N in (0, 1, 7, 23, 60, 300):
+            assert am_rhs(k, N) == series_am_rhs(k, N), (k, N)
 
 
 def _count_steps(monkeypatch):
@@ -204,10 +218,10 @@ def test_wang_yee_rhs_forms_no_product_and_one_step_per_n(monkeypatch):
     the shift 2n, and m - 1 for its common 1/(q^R; q^R)_(m-1)."""
     names = ("_kronecker_mul", "_schoolbook_mul", "_theta_sum", "_durfee_sum",
              "inverse_triple_product")
-    forbidden = [_count_calls(monkeypatch, owner, name)
+    forbidden = [record(monkeypatch, owner, name)
                  for owner in (qseries, trunclab) for name in names
                  if hasattr(owner, name)]
-    forbidden.append(_count_calls(monkeypatch, IntSeries, "__mul__"))
+    forbidden.append(record(monkeypatch, IntSeries, "__mul__"))
     steps = _count_steps(monkeypatch)
     for m in range(1, 5):
         steps.clear()
@@ -263,7 +277,7 @@ def test_mao_series_objects_do_not_grow_with_order(monkeypatch):
 def test_decomposition_expands_its_triple_product_once(monkeypatch):
     trunclab._triple.cache_clear()
     trunclab._inv_triple.cache_clear()
-    calls = _count_calls(monkeypatch, trunclab, "triple_product")
+    calls = record(monkeypatch, trunclab, "triple_product")
     for k in range(1, 7):
         assert decomposition_check(TruncParams(5, 2, k, 600)).passed, k
     assert len(calls) == 1
@@ -274,18 +288,12 @@ def test_mao_takes_its_product_factors_by_euler_sums(monkeypatch):
     CLI runs them, multiplies its sum by (q^R; q^R)_inf and then by
     (q^A; q^R)_inf by two Euler sums, and reaches no product kernel and no
     expanded product."""
-    forbidden = [_count_calls(monkeypatch, qseries, name)
+    forbidden = [record(monkeypatch, qseries, name)
                  for name in ("_kronecker_mul", "_schoolbook_mul", "_mul_lists",
                               "pochhammer")]
-    forbidden.append(_count_calls(monkeypatch, trunclab, "pochhammer"))
-    calls = []
-    real = trunclab._euler_sum
-
-    def recording(a, step, base):
-        calls.append((a, step, len(base)))
-        return real(a, step, base)
-
-    monkeypatch.setattr(trunclab, "_euler_sum", recording)
+    forbidden.append(record(monkeypatch, trunclab, "pochhammer"))
+    calls = record(monkeypatch, trunclab, "_euler_sum",
+                   lambda a, step, base: (a, step, len(base)))
     for k in range(1, 5):
         assert mao_check(TruncParams(5, 1, k, 500)).passed, k
     assert all(c == [] for c in forbidden)

@@ -13,18 +13,12 @@ import pytest
 
 from qtrunc import bijections, gpn, p_euler, verify_phi
 from qtrunc.partitions import _partition_tuples
+from reference import record
 
 
 def _record_reporter(monkeypatch):
     """Record the weights the per-element reporter runs at."""
-    entered = []
-    real = bijections._phi_report
-
-    def recording(n, indices):
-        entered.append(n)
-        return real(n, indices)
-    monkeypatch.setattr(bijections, "_phi_report", recording)
-    return entered
+    return record(monkeypatch, bijections, "_phi_report", lambda n, indices: n)
 
 
 def _reporter_alone(monkeypatch, n):
@@ -38,13 +32,7 @@ def _reporter_alone(monkeypatch, n):
 def test_verify_phi_maps_each_element_once(monkeypatch):
     """Timing-free gate: a passing run applies _phi once per element of the
     domain (the per-element loop applies it twice) and never reports."""
-    calls = []
-    real = bijections._phi
-
-    def counting(parts, j):
-        calls.append(1)
-        return real(parts, j)
-    monkeypatch.setattr(bijections, "_phi", counting)
+    calls = record(monkeypatch, bijections, "_phi")
     entered = _record_reporter(monkeypatch)
     assert verify_phi(20).passed
     domain = sum(p_euler(20 - gpn(j)) for j in range(-20, 21) if gpn(j) <= 20)

@@ -10,6 +10,7 @@ from functools import cache
 from qtrunc import cli, gpn, mk_identity_check, partitions, set_a_size, theorem12_check
 from qtrunc.partitions import _durfee_ranks, _partition_tuples, _rank
 from grown_memo import counting_builds, sweep_concurrently
+from reference import record
 
 
 @cache
@@ -112,13 +113,7 @@ def test_theorem12_enumerates_no_partitions(monkeypatch):
 
 def test_mk_identity_walks_each_weight_once(monkeypatch):
     partitions._m_k_counts.cache_clear()
-    walked = []
-    real = partitions._partition_tuples
-
-    def counting(n):
-        walked.append(n)
-        return real(n)
-    monkeypatch.setattr(partitions, "_partition_tuples", counting)
+    walked = record(monkeypatch, partitions, "_partition_tuples", lambda n: n)
     for k in range(1, 5):
         report = mk_identity_check(k, 27)
         assert report.passed, (k, report.violations[:3])

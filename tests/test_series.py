@@ -1,9 +1,10 @@
 """IntSeries arithmetic checked against naive oracles.
 
-The oracles here are deliberately dumb: quadratic convolution on plain
-lists, literal product expansion for the Pochhammer factors, a full
-divisor scan for the Lambert coefficients. Every fast path in qseries
-must agree with them exactly.
+The oracles are deliberately dumb: quadratic convolution on plain lists
+(`naive_mul`), and the q-Pochhammer and triple products expanded, or
+divided out, one (1 - q^e) factor at a time (`factor_steps`,
+`factor_divisions`). Every fast path in qseries must agree with them
+exactly. lambert_diff's divisor sieve is checked in test_slice_kernels.py.
 """
 
 import math
@@ -22,55 +23,7 @@ from qtrunc import (
     triple_product,
 )
 from qtrunc.partitions import enumerate_partitions
-
-
-def naive_mul(a: list, b: list, order: int) -> list:
-    out = [0] * (order + 1)
-    # every pair of terms, skipping the zero terms of b: a single factor
-    # (1 - q^e) then costs two passes over a
-    b_terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        for j, y in b_terms:
-            if i + j <= order:
-                out[i + j] += x * y
-    return out
-
-
-def naive_pochhammer(a: int, step: int, order: int) -> list:
-    """Expand prod (1 - q^(a + i*step)) by repeated naive multiplication."""
-    out = [1] + [0] * order
-    e = a
-    while e <= order:
-        factor = [0] * (order + 1)
-        factor[0] = 1
-        factor[e] = -1
-        out = naive_mul(out, factor, order)
-        e += step
-    return out
-
-
-def factor_steps(bases: tuple, step: int, order: int) -> list:
-    """Expand the product over b in bases of prod_i (1 - q^(b + i*step)) one
-    factor at a time, each factor one O(order) pass over the list: the
-    O(order^2) reference for the Euler-sum expansions of qseries."""
-    dense = [1] + [0] * order
-    for base in bases:
-        for e in range(base, order + 1, step):
-            # the slice dense[e:] is a copy, so every coefficient reads old values
-            dense[e:] = [x - y for x, y in zip(dense[e:], dense)]
-    return dense
-
-
-def scan_divisor_diff(n: int, R: int, S: int) -> int:
-    count = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            if d % R == S % R:
-                count += 1
-            elif d % R == (R - S) % R:
-                count -= 1
-    return count
-
+from reference import factor_steps, naive_mul, record
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=10)
 
@@ -173,14 +126,7 @@ def test_mul_switches_kernel_above_crossover(monkeypatch):
     Kronecker slot width of w bytes the product would need; Kronecker
     substitution takes the rest. The shapes are written out, not read from
     the module, so that moving either constant fails here."""
-    calls = []
-    kernel = qseries._kronecker_mul
-
-    def counting(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(qseries, "_kronecker_mul", counting)
+    calls = record(monkeypatch, qseries, "_kronecker_mul")
     # (terms, dense coefficient, dense length, slot width, Kronecker?)
     shapes = (
         (1, 1, 60, 1, False),          # a monomial
@@ -314,7 +260,7 @@ def test_repr_mentions_leading_terms():
 @example(1, 1, 200)
 @settings(max_examples=80, deadline=None)
 def test_pochhammer_matches_naive_product(a, step, order):
-    assert pochhammer(a, step, order).dense() == naive_pochhammer(a, step, order)
+    assert pochhammer(a, step, order).dense() == factor_steps((a,), step, order)
 
 
 def test_pochhammer_matches_factor_steps():
@@ -502,14 +448,8 @@ def test_pochhammer_takes_sqrt_many_geometric_steps(monkeypatch):
     per term k >= 1 of Euler's sum, so O(sqrt N) steps, not one per factor.
     Step k divides by (1 - q^k) a list cut to the N - k(k+1)/2 + 1
     coefficients that survive the shift of term k, and no longer."""
-    steps = []
-    real = qseries._div_one_minus_list
-
-    def counting(dense, e):
-        steps.append((e, len(dense)))
-        real(dense, e)
-
-    monkeypatch.setattr(qseries, "_div_one_minus_list", counting)
+    steps = record(monkeypatch, qseries, "_div_one_minus_list",
+                   lambda dense, e: (e, len(dense)))
     for N in (0, 1, 2, 100, 3000):
         steps.clear()
         pochhammer(1, 1, N)
@@ -545,13 +485,6 @@ def test_bilateral_theta_accumulates_colliding_exponents():
     theta = bilateral_theta(2, 1, 12)
     assert theta.dense() == triple_product(2, 1, 12).dense()
     assert theta.coeff(1) == -2
-
-
-def test_lambert_diff_matches_divisor_scan():
-    for R, S in [(3, 1), (4, 1), (5, 2), (6, 5)]:
-        series = lambert_diff(R, S, 60)
-        for n in range(1, 61):
-            assert series.coeff(n) == scan_divisor_diff(n, R, S), (R, S, n)
 
 
 def test_lambert_diff_constant_term_is_zero():

@@ -3,10 +3,11 @@
 The schoolbook product, the geometric step, the divisor sieve of
 lambert_diff and the index-weighted partition sums each do one C-level
 slice operation per sparse term, residue class or block, divisor or
-cofactor, or index j. The functions below are the loops they replaced, one
-Python step per coefficient, kept as the reference: every result must be
-equal, element for element. The running-quotient walker behind the q-series
-sums is checked against the per-element division of the uncut list. The
+cofactor, or index j. The loops they replaced, one Python step per
+coefficient, are kept as the reference, below and, for the divisor sieve,
+as reference.nested_lambert_diff: every result must be equal, element for
+element. The running-quotient walker behind the q-series sums is checked
+against the per-element division of the uncut list. The
 timing-free gates count p(n) reads at the benchmark's points, the product
 kernels and geometric steps of the triple product and of its reciprocal,
 which route the geometric step takes, and how many series the memos keep.
@@ -30,6 +31,7 @@ from qtrunc.qseries import (
     triple_product,
 )
 from qtrunc.trunclab import corollary14_report, index_weighted_sums, recurrence_check
+from reference import nested_lambert_diff, record
 
 
 def loop_schoolbook(sparse: list, dense: list, n: int) -> list:
@@ -54,18 +56,6 @@ def loop_div_one_minus(dense: list, e: int) -> list:
     for d in range(e, len(out)):
         out[d] += out[d - e]
     return out
-
-
-def nested_lambert_diff(R: int, S: int, order: int) -> list:
-    """lambert_diff's coefficients, one increment per multiple of each divisor."""
-    dense = [0] * (order + 1)
-    for d in range(S, order + 1, R):
-        for mult in range(d, order + 1, d):
-            dense[mult] += 1
-    for d in range(R - S, order + 1, R):
-        for mult in range(d, order + 1, d):
-            dense[mult] -= 1
-    return dense
 
 
 def per_n_index_weighted_sum(n: int, k: int | None = None) -> int:
@@ -117,14 +107,7 @@ def test_div_one_minus_list_edges_and_route(monkeypatch):
     """e = 1, e >= len, len 0 and 1, and both sides of 16 e: the residue
     path takes one accumulate per class, exactly when the list holds at
     least 16 coefficients per class."""
-    calls = []
-    real = qseries.accumulate
-
-    def counting(values):
-        calls.append(1)
-        return real(values)
-
-    monkeypatch.setattr(qseries, "accumulate", counting)
+    calls = record(monkeypatch, qseries, "accumulate")
     for e in range(1, 8):
         for length in sorted({0, 1, e - 1, e, e + 1, 16 * e - 1, 16 * e, 16 * e + 1}):
             dense = [(-1) ** i * (i * i + 3) for i in range(length)]
@@ -213,25 +196,13 @@ def test_index_weighted_sums_rejects_negative_nmax():
         index_weighted_sums(-1)
 
 
-def _count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
 def test_index_sums_read_each_partition_count_once(monkeypatch):
     """Timing-free gate: at the benchmark's points, corollary14_report and
     recurrence_check each read p(0..nmax) from the p(n) memo once, as one
     table, and form one series product, the index-weighted theta sum times
     that table, instead of one p(n) read and one slice update per (n, j)."""
-    reads = _count_calls(monkeypatch, partitions._p_table, "upto")
-    products = _count_calls(monkeypatch, qseries, "_mul_lists")
+    reads = record(monkeypatch, partitions._p_table, "upto")
+    products = record(monkeypatch, qseries, "_mul_lists")
     runs = [(2000, lambda k=k: corollary14_report(k, 2000)) for k in range(1, 7)]
     runs.append((1200, lambda: recurrence_check(1200)))
     for nmax, run in runs:
@@ -262,16 +233,10 @@ def test_triple_product_forms_no_series_product(monkeypatch):
     benchmark's order. It calls no product kernel, and its geometric steps
     are exactly those of the three sums, each on a list cut to the
     coefficients that survive its shift."""
-    products = {name: _count_calls(monkeypatch, qseries, name)
+    products = {name: record(monkeypatch, qseries, name)
                 for name in ("_kronecker_mul", "_schoolbook_mul", "_mul_lists")}
-    steps = []
-    real = qseries._div_one_minus_list
-
-    def counting(dense, e):
-        steps.append((e, len(dense)))
-        real(dense, e)
-
-    monkeypatch.setattr(qseries, "_div_one_minus_list", counting)
+    steps = record(monkeypatch, qseries, "_div_one_minus_list",
+                   lambda dense, e: (e, len(dense)))
     N = 3000
     for R, S in [(3, 1), (5, 2), (7, 5)]:
         steps.clear()
@@ -303,20 +268,14 @@ def test_inverse_triple_product_forms_no_product_and_no_inversion(monkeypatch, c
     (q^S; q^R), at the benchmark's order. It expands no triple product,
     inverts nothing and calls no product kernel; a conjecture sweep fills
     the memo of the reciprocal and leaves the triple product's empty."""
-    forbidden = {name: _count_calls(monkeypatch, qseries, name)
+    forbidden = {name: record(monkeypatch, qseries, name)
                  for name in ("_kronecker_mul", "_schoolbook_mul", "_mul_lists",
                               "triple_product")}
-    forbidden["trunclab.triple_product"] = _count_calls(monkeypatch, trunclab,
-                                                        "triple_product")
-    forbidden["invert"] = _count_calls(monkeypatch, qseries.IntSeries, "invert")
-    steps = []
-    real = qseries._div_one_minus_list
-
-    def counting(dense, e):
-        steps.append((e, len(dense)))
-        real(dense, e)
-
-    monkeypatch.setattr(qseries, "_div_one_minus_list", counting)
+    forbidden["trunclab.triple_product"] = record(monkeypatch, trunclab,
+                                                  "triple_product")
+    forbidden["invert"] = record(monkeypatch, qseries.IntSeries, "invert")
+    steps = record(monkeypatch, qseries, "_div_one_minus_list",
+                   lambda dense, e: (e, len(dense)))
     N = 3000
     for R, S in [(5, 1), (7, 2), (4, 2)]:
         trunclab._inv_triple.cache_clear()

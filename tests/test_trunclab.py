@@ -1,13 +1,14 @@
 """Truncated identity suites: frozen values, naive oracles, cross-checks.
 
-The product-sum constructions are rebuilt here with plain quadratic list
-arithmetic (no IntSeries involved) so the fast in-place recurrences have
-an independent reference.
+The two product sums of mao, _product_sum_f and _mao_double_sum, are
+rebuilt here term by term on plain lists, every factor multiplied in by
+reference.naive_mul: the only check of those sums that takes no library
+kernel. Their IntSeries forms, and those of am_rhs and wang_yee_rhs, are
+the references of test_dense_kernels.py. The other tests run each suite
+on grids, pin frozen coefficients and compare suites with each other.
 """
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from qtrunc import trunclab
 from qtrunc import (
@@ -38,7 +39,6 @@ from qtrunc import (
     theorem13_check,
     theorem13_series,
     wang_yee_check,
-    wang_yee_rhs,
 )
 from qtrunc.qseries import IntSeries, bilateral_theta, pochhammer
 from qtrunc.trunclab import (
@@ -48,15 +48,7 @@ from qtrunc.trunclab import (
     conjecture_regime,
 )
 from qbinomial import q_binomial
-
-
-def naive_mul(a, b, order):
-    out = [0] * (order + 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j <= order:
-                out[i + j] += x * y
-    return out
+from reference import naive_mul, record
 
 
 def one_minus(e, order):
@@ -221,30 +213,6 @@ def test_am_rhs_trivial_when_every_term_overshoots():
     # k(k-1)/2 + (k+1)k > N leaves only the constant 1 on both sides
     assert am_rhs(6, 10).dense() == [1] + [0] * 10
     assert am_lhs(6, 10).dense() == [1] + [0] * 10
-
-
-def _am_rhs_full_order(k: int, N: int) -> IntSeries:
-    """am_rhs in its direct form: each term multiplied to order N, then
-    shifted, with the coefficients past N dropped by the sum."""
-    base = k * (k - 1) // 2
-    acc = IntSeries.zero(N)
-    inv_fact = IntSeries.one(N)
-    fact_level = 0
-    n = k
-    while base + (k + 1) * n <= N:
-        while fact_level < n:
-            fact_level += 1
-            inv_fact = inv_fact.div_one_minus(fact_level)
-        term = q_binomial(n - 1, k - 1, order=N) * inv_fact
-        acc = acc + term.shifted(base + (k + 1) * n)
-        n += 1
-    return IntSeries.one(N) + acc.scale(1 if k % 2 == 1 else -1)
-
-
-def test_am_rhs_equals_full_order_form():
-    for k in range(1, 6):
-        for N in (0, 1, 7, 23, 60):
-            assert am_rhs(k, N) == _am_rhs_full_order(k, N), (k, N)
 
 
 def test_am_rejects_bad_depth():
@@ -460,73 +428,6 @@ def test_wang_yee_check_grid():
         assert report.passed, (R, S, m, report.violations[:3])
 
 
-def _wang_yee_rhs_full_order(R: int, S: int, m: int, N: int) -> IntSeries:
-    """wang_yee_rhs in its direct form: every pair series is a product of
-    two 1/(q^R;q^R)_i, and every product is formed to full order W, then
-    shifted and truncated."""
-    monomial = R * m * (m - 1) // 2
-    if monomial > N:
-        return IntSeries.one(N)
-    W = N - monomial
-    nmax = W // (R - S)
-    invp = [IntSeries.one(W)]
-    for i in range(1, nmax + 1):
-        invp.append(invp[i - 1].div_one_minus(R * i))
-    pair_g, pair_h = [], []
-    for s in range(nmax + 1):
-        g = IntSeries.zero(W)
-        h = IntSeries.zero(W)
-        for a in range(s + 1):
-            e = m * a * R
-            if e <= W:
-                g = g + (invp[s - a] * invp[a]).shifted(e).truncate(W)
-            e = a * (s - a) * R + 2 * a * S
-            if e <= W:
-                h = h + (invp[a] * invp[s - a]).shifted(e).truncate(W)
-        pair_g.append(g)
-        pair_h.append(h)
-    total = IntSeries.zero(W)
-    for n in range(m, nmax + 1):
-        inner = IntSeries.zero(W)
-        for t in range(n + 1):
-            e = n * R - t * S
-            if e <= W:
-                inner = inner + (pair_g[n - t] * pair_h[t]).shifted(e).truncate(W)
-        total = total + inner * q_binomial(n - 1, m - 1, R, order=W)
-    sign = 1 if m % 2 == 1 else -1
-    return IntSeries.one(N) + total.scale(sign).shifted(monomial)
-
-
-def test_wang_yee_rhs_equals_full_order_form():
-    for R, S, m in [(3, 1, 1), (3, 1, 2), (4, 2, 1), (5, 2, 3), (6, 3, 2),
-                    (4, 2, 3), (5, 1, 4)]:
-        for N in (0, 5, 31, 45, 120):
-            assert wang_yee_rhs(R, S, m, N) == _wang_yee_rhs_full_order(R, S, m, N), \
-                (R, S, m, N)
-
-
-@st.composite
-def wang_yee_points(draw):
-    R = draw(st.integers(2, 9))
-    return (R, draw(st.integers(1, R // 2)), draw(st.integers(1, 5)),
-            draw(st.integers(0, 90)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(wang_yee_points())
-# N = R m(m-1)/2 - 1 and N = R m(m-1)/2: no term, then the n = 0 slot alone
-@example((3, 1, 3, 8))
-@example((3, 1, 3, 9))
-# nmax = 1, 2, 3 and 3: the walk ends before the U_(n-2) or U_(n-4) term applies
-@example((5, 2, 2, 8))
-@example((4, 1, 2, 11))
-@example((4, 1, 1, 11))
-@example((2, 1, 2, 5))
-def test_wang_yee_rhs_recurrence_matches_full_order_form(point):
-    R, S, m, N = point
-    assert wang_yee_rhs(R, S, m, N) == _wang_yee_rhs_full_order(R, S, m, N)
-
-
 def test_wang_yee_multiply_count_gate(monkeypatch):
     """Timing-free regression gate: the number of IntSeries products that
     wang-yee makes at a fixed point. Building the pair series by geometric
@@ -534,14 +435,7 @@ def test_wang_yee_multiply_count_gate(monkeypatch):
     Gaussian binomial as (1 - q^j) factors, left one: the theta quotient.
     The closed side runs a recurrence over plain lists and forms no
     product. A change that raises it fails here."""
-    calls = []
-    mul = IntSeries.__mul__
-
-    def counting(a, b):
-        calls.append(1)
-        return mul(a, b)
-
-    monkeypatch.setattr(IntSeries, "__mul__", counting)
+    calls = record(monkeypatch, IntSeries, "__mul__")
     assert wang_yee_check(3, 1, 1, 60).passed
     assert len(calls) <= 1
 
@@ -573,17 +467,11 @@ def test_wang_yee_truncation_beyond_order_is_trivial():
 def test_corollary14_reads_one_divisor_sieve(monkeypatch):
     """The divisor side of a report comes from one lambert_diff sieve, not
     from a trial division per n; recurrence_check keeps the trial division."""
-    sieves = []
-    real = trunclab.lambert_diff
-
-    def recording(R, S, order):
-        sieves.append((R, S, order))
-        return real(R, S, order)
+    sieves = record(monkeypatch, trunclab, "lambert_diff")
 
     def trial_division(n, R, S):
         raise AssertionError("corollary14_report called divisor_diff")
 
-    monkeypatch.setattr(trunclab, "lambert_diff", recording)
     monkeypatch.setattr(trunclab, "divisor_diff", trial_division)
     assert corollary14_report(3, 150).passed
     assert sieves == [(3, 1, 150)]

@@ -13,6 +13,7 @@ import pytest
 from qtrunc import IndexedPartition, Partition, bijections, gpn, psi, verify_phi, verify_psi
 from qtrunc.bijections import _phi, _psi
 from qtrunc.partitions import _conjugate, _partition_tuples
+from reference import record
 
 
 def recursive_partition_tuples(n, max_part=None):
@@ -269,13 +270,7 @@ def test_verify_psi_checks_each_image(monkeypatch, image, check):
 
 
 def test_verify_psi_enumerates_only_the_source_class(monkeypatch):
-    calls = []
-    real = bijections._rank_class
-
-    def recording(variant, j, n):
-        calls.append((variant, j, n))
-        return real(variant, j, n)
-    monkeypatch.setattr(bijections, "_rank_class", recording)
+    calls = record(monkeypatch, bijections, "_rank_class")
     assert verify_psi(15, 2).passed
     assert calls == [(1, -2, 15)]
 
