@@ -3,9 +3,12 @@
 ``qtrunc verify <suite>`` runs a suite over a parameter grid and gates on
 the outcome: exit 0 when every point passes, 1 on any mathematical
 violation (with the counterexample printed), 2 on a usage or parameter
-error. ``qtrunc table <suite>`` prints coefficient tables without gating.
+error or an unwritable destination. ``qtrunc table <suite>`` prints
+coefficient tables without gating.
 
-Output is byte-identical for identical invocations. Set QTRUNC_WORKERS to
+Output is byte-identical for identical invocations, and goes to stdout or
+the --out file only once every point has run: CSV and text row by row as
+they are rendered, JSON as one json.dumps. Set QTRUNC_WORKERS to
 an integer above 1 to evaluate grid points in a process pool; reports are
 merged in parameter order regardless of completion order.
 """
@@ -255,84 +258,77 @@ def _summary_line(reports: list[CheckReport]) -> str:
     return f"{passed}/{len(reports)} points passed"
 
 
-def _render_verify(args: argparse.Namespace, reports: list[CheckReport]) -> str:
+def _write_verify(out, args: argparse.Namespace, reports: list[CheckReport]) -> None:
     if args.format == "json":
-        doc = {
-            "suite": args.suite,
-            "pass": all(r.passed for r in reports),
-            "points": [r.to_dict() for r in reports],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.format == "csv":
+        doc = {"suite": args.suite, "pass": all(r.passed for r in reports),
+               "points": [r.to_dict() for r in reports]}
+        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
+    elif args.format == "csv":
         import csv  # imported here, like the pool: only CSV output needs it
-        import io
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for r in reports:
             writer.writerows(r.csv_rows())
-        return buf.getvalue()
-    lines = []
-    for r in reports:
-        params = " ".join(f"{key}={val}" for key, val in r.params.items())
-        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.suite} {params}")
-        for v in r.violations[:20]:
-            lines.append(
-                "    witness=%s expected=%s actual=%s"
-                % (
-                    json.dumps(v.witness, sort_keys=True),
-                    json.dumps(v.expected, sort_keys=True),
-                    json.dumps(v.actual, sort_keys=True),
-                )
-            )
-        hidden = len(r.violations) - 20
-        if hidden > 0:
-            lines.append(f"    ... {hidden} more violations")
-    lines.append(_summary_line(reports))
-    return "\n".join(lines) + "\n"
+    else:
+        for r in reports:
+            params = " ".join(f"{key}={val}" for key, val in r.params.items())
+            out.write(f"[{'PASS' if r.passed else 'FAIL'}] {r.suite} {params}\n")
+            for v in r.violations[:20]:
+                out.write("    witness=%s expected=%s actual=%s\n" % tuple(
+                    json.dumps(x, sort_keys=True) for x in (v.witness, v.expected, v.actual)))
+            hidden = len(r.violations) - 20
+            if hidden > 0:
+                out.write(f"    ... {hidden} more violations\n")
+        out.write(_summary_line(reports) + "\n")
 
 
-def _emit(args: argparse.Namespace, payload: str, summary: str) -> None:
+def _emit(args: argparse.Namespace, write: Callable, summary: str) -> None:
+    """Call ``write`` on the open --out file, then print ``summary``; or call
+    it on stdout. A destination that cannot be written is a usage error
+    (exit 2), not a violation."""
     if args.out:
-        # an unwritable path is a usage error (exit 2), not a violation
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
+                write(fh)
         except OSError as exc:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
-        print(summary)
-    else:
-        sys.stdout.write(payload)
+    try:
+        if args.out:
+            print(summary)
+        else:
+            write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # e.g. a closed reader: point fd 1 at devnull, so that the flush at
+        # exit of what is still buffered cannot fail again with a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ValueError(f"cannot write to stdout: {exc.strerror}") from None
 
 
 def run(args: argparse.Namespace) -> int:
     """Evaluate a verify invocation; returns the process exit code."""
     reports = _run_points(args.suite, _points(args, SUITES[args.suite].axes))
-    _emit(args, _render_verify(args, reports), _summary_line(reports))
+    _emit(args, lambda out: _write_verify(out, args, reports), _summary_line(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _render_table(args: argparse.Namespace, columns: tuple[str, ...],
-                  rows: list[tuple]) -> str:
+def _write_table(out, args: argparse.Namespace, columns: tuple[str, ...],
+                 rows: list[tuple]) -> None:
     if args.format == "json":
-        doc = [dict(zip(columns, row)) for row in rows]
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.format == "csv":
+        print(json.dumps([dict(zip(columns, row)) for row in rows], indent=2,
+                         sort_keys=True), file=out)
+    elif args.format == "csv":
         import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
-        return buf.getvalue()
-    widths = [
-        max(len(str(col)), *(len(str(row[i])) for row in rows)) if rows else len(str(col))
-        for i, col in enumerate(columns)
-    ]
-    lines = ["  ".join(str(col).rjust(w) for col, w in zip(columns, widths))]
-    for row in rows:
-        lines.append("  ".join(str(val).rjust(w) for val, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    else:
+        lines = (columns, *rows)
+        widths = [max(len(str(line[i])) for line in lines) for i in range(len(columns))]
+        for line in lines:
+            out.write("  ".join(str(val).rjust(w) for val, w in zip(line, widths)) + "\n")
 
 
 def table(args: argparse.Namespace) -> int:
@@ -341,7 +337,7 @@ def table(args: argparse.Namespace) -> int:
     if tab is None:
         raise ValueError(f"table output is not available for suite {args.suite!r}")
     rows = [row for point in _points(args, tab.axes) for row in tab.rows(**point)]
-    _emit(args, _render_table(args, tab.columns, rows), f"{len(rows)} rows")
+    _emit(args, lambda out: _write_table(out, args, tab.columns, rows), f"{len(rows)} rows")
     return 0
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism, worker pool."""
 
 import errno
+import io
 import json
 import multiprocessing
 import os
@@ -244,6 +245,79 @@ def test_unwritable_out_is_a_usage_error(argv, where, errno_, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == f"error: cannot write --out {target}: {os.strerror(errno_)}\n"
     assert [p.name for p in tmp_path.iterdir()] == []
+
+
+# one passing verify, one table and one failing verify (gz rigged by _rig_gz)
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv, code, rigged", [
+    (["verify", "theorem13", "--R", "4", "--S", "1", "--kmax", "2", "--N", "40"], 0, False),
+    (["table", "conjecture", "--R", "5", "--S", "2", "--k", "2", "--N", "60"], 0, False),
+    (["verify", "gz", "--kmax", "3", "--N", "10"], 1, True),
+], ids=["verify", "table", "verify-failing"])
+def test_out_holds_the_bytes_stdout_gets(argv, code, rigged, fmt, tmp_path, capsys,
+                                         monkeypatch):
+    """stdout and --out are one output path: the file holds exactly the
+    bytes the same invocation writes to stdout."""
+    if rigged:
+        _rig_gz(monkeypatch)
+    argv = argv + ["--format", fmt]
+    assert cli.main(argv) == code
+    payload = capsys.readouterr().out
+    target = tmp_path / "payload"
+    assert cli.main(argv + ["--out", str(target)]) == code
+    assert capsys.readouterr().out.endswith(("points passed\n", "rows\n"))
+    assert target.read_bytes() == payload.encode("utf-8")
+
+
+class _SizedWrites(io.StringIO):
+    """A stdout that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("argv", [
+    ["table", "conjecture", "--R", "5", "--S", "1", "--k", "1", "--N", "3000"],
+    ["verify", "theorem12", "--nmax", "42", "--kmax", "5"],
+], ids=["table", "verify"])
+def test_csv_and_text_are_written_line_by_line(argv, fmt, monkeypatch):
+    """CSV and text go out one row or line per write, never as one string
+    holding the whole payload: every line here is under 80 characters and
+    every payload over 4 kB. JSON is exempt by design: it is one json.dumps,
+    because streaming it through JSONEncoder.iterencode is slower."""
+    stdout = _SizedWrites()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(argv + ["--format", fmt]) == 0
+    assert len(stdout.getvalue()) > 4096
+    assert max(stdout.sizes) <= 256
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "conjecture", "--R", "5", "--S", "1", "--k", "1", "--N", "5000",
+     "--format", "csv"],
+    ["verify", "theorem12", "--nmax", "200", "--kmax", "5", "--format", "json"],
+], ids=["table-csv", "verify-json"])
+def test_closed_stdout_is_a_usage_error(argv):
+    """A reader that closes the pipe after 100 bytes gets exit 2 and one
+    line on stderr, not exit 1 (a violation) with a traceback. Each payload
+    is larger than a pipe buffer, and stdout is left buffered, as it is for
+    an installed copy."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    with subprocess.Popen([sys.executable, "-m", "qtrunc.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1].decode()
+    assert (proc.returncode, err) == (
+        2, f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n")
 
 
 def test_output_is_byte_identical_across_runs(tmp_path, capsys):
