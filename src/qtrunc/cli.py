@@ -16,6 +16,7 @@ merged in parameter order regardless of completion order.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -284,8 +285,11 @@ def _write_verify(out, args: argparse.Namespace, reports: list[CheckReport]) -> 
 
 def _emit(args: argparse.Namespace, write: Callable, summary: str) -> None:
     """Call ``write`` on the open --out file, then print ``summary``; or call
-    it on stdout. A destination that cannot be written is a usage error
-    (exit 2), not a violation."""
+    it on stdout. A destination that cannot be written, a stdout closed at
+    start included, is a usage error (exit 2), not a violation."""
+    if sys.stdout is None:
+        # fd 1 was closed at start; checked before open, which would take fd 1
+        raise ValueError(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -47,26 +47,24 @@ division runs one accumulate per residue class mod e once the list holds
 at least 16 coefficients per class, and one slice per block of e
 coefficients below that.
 
-The product expansions (pochhammer, triple_product) and the reciprocal
-triple product (inverse_triple_product) do not apply their factors one by
-one, and form no series product. Each is a sum of shifted quotients
-base / prod (1 - q^f), and the one walker _quotients keeps that running
-quotient, cut to the coefficients that survive each term's shift; the
-dense sums in trunclab walk theirs with it too. _euler_sum multiplies a
-coefficient list by (q^a; q^s)_infinity by Euler's distinct-parts sum,
+The product expansions (pochhammer, triple_product) do not apply their
+factors one by one, and form no series product. Each is a sum of shifted
+quotients base / prod (1 - q^f), and the one walker _quotients keeps that
+running quotient, cut to the coefficients that survive each term's shift;
+the dense sums in trunclab walk theirs with it too. _euler_sum multiplies
+a coefficient list by (q^a; q^s)_infinity by Euler's distinct-parts sum,
 base (q^a; q^s)_infinity = sum_k (-1)^k q^(a k + s k(k-1)/2) base / (q^s; q^s)_k,
 in about sqrt(2N/s) geometric steps of the walker: O(N^1.5)
 instead of O(N^2). pochhammer is one such sum over the list of 1;
 triple_product chains three, each over the list the one before returned,
 and mao's product-sum series in trunclab chain two, (q^R; q^R)_infinity
 and then (q^A; q^R)_infinity, over their summed list.
-The sum does not go through Jacobi's triple product. _durfee_sum divides a
-list by (q^a; q^s)_infinity by the Durfee-square sum,
-base / (q^a; q^s)_infinity = sum_k q^(k(a + s(k-1))) base / ((q^s; q^s)_k (q^a; q^s)_k),
-in about 2 sqrt(N/s) geometric steps. inverse_triple_product chains three,
-so the denominator of a theta quotient is neither expanded nor inverted
-one coefficient at a time; IntSeries.invert remains for the cube of the
-Euler product, for p(n) in partitions and for the public API.
+The sum does not go through Jacobi's triple product.
+
+IntSeries.invert is the one reciprocal kernel. p(n) in partitions, every
+theta quotient and gz each invert a sparse theta-type sum: the pentagonal
+sum, the bilateral theta sum (the triple product, by Jacobi's triple
+product identity) and the Jacobi cube ((q; q)_infinity cubed).
 
 _theta_sum is the one builder of the sparse theta-type sums
 sum_j (-1)^j (u j + v) q^(R j(j+1)/2 + b j + c): the bilateral theta sum
@@ -460,27 +458,6 @@ def _euler_sum(a: int, step: int, base: list[int]) -> list[int]:
     return acc
 
 
-def _durfee_sum(a: int, step: int, base: list[int]) -> list[int]:
-    """Coefficients of q^0..q^order of base / (q^a; q^step)_infinity,
-    order = len(base) - 1, by the Durfee-square sum
-    sum_k q^(k(a + step(k-1))) base / ((q^step; q^step)_k (q^a; q^step)_k)
-    (Andrews, The Theory of Partitions, (2.2.8) at z = q^(a - step)).
-
-    The walker ``_quotients`` takes the quotient two geometric steps per
-    k >= 1, by (1 - q^(step k)) and then by (1 - q^(a + step(k-1))), and
-    the sum adds it. There are about sqrt(order / step) terms, so the sum
-    costs O(order^1.5). Every term of a nonnegative base is nonnegative, so
-    nothing cancels and no intermediate coefficient exceeds the result's.
-    base itself is left unchanged.
-    """
-    acc = list(base)  # the term k = 0
-    terms = ((k * (a + step * (k - 1)), (step * k, a + step * (k - 1)))
-             for k in count(1))
-    for e, quotient in _quotients(base, terms):
-        acc[e:] = map(add, acc[e:], quotient)
-    return acc
-
-
 def pochhammer(a: int, step: int, order: int) -> IntSeries:
     """(q^a; q^step)_infinity truncated: product of (1 - q^(a + i*step)).
 
@@ -516,25 +493,6 @@ def triple_product(R: int, S: int, order: int) -> IntSeries:
     one = [1] + [0] * order
     dense = _euler_sum(S, R, _euler_sum(R - S, R, _euler_sum(R, R, one)))
     return IntSeries._from_list(dense, order)
-
-
-def inverse_triple_product(R: int, S: int, order: int) -> IntSeries:
-    """1 / (q^S, q^(R-S), q^R; q^R)_infinity truncated to the given order.
-
-    Three chained Durfee-square sums (see ``_durfee_sum``), so neither the
-    triple product nor a per-coefficient inversion is formed. 1/(q^R; q^R)
-    is a series in q^R: it is summed as 1/(q; q) to order // R and spread
-    over every R-th slot. It is then divided by (q^(R-S); q^R) and by
-    (q^S; q^R), each sum running over the list the one before returned.
-    At order 3000 this takes 15-25 ms for R = 5, 7, against 28-50 ms to
-    expand the triple product and invert it (best of 5, Python 3.11, 2-core
-    host).
-    """
-    _require_window(R, S)
-    _require_nonnegative("order", order)
-    dense = [0] * (order + 1)
-    dense[::R] = _durfee_sum(1, 1, [1] + [0] * (order // R))
-    return IntSeries._from_list(_durfee_sum(S, R, _durfee_sum(R - S, R, dense)), order)
 
 
 def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,

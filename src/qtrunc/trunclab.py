@@ -31,7 +31,6 @@ from .qseries import (
     _theta_sum,
     _times_one_minus_list,
     bilateral_theta,
-    inverse_triple_product,
     lambert_diff,
     pochhammer,
     triple_product,
@@ -65,31 +64,30 @@ def _triple(R: int, S: int, N: int) -> IntSeries:
 
 @lru_cache(maxsize=1)
 def _inv_triple(R: int, S: int, N: int) -> IntSeries:
-    """The reciprocal triple product at (R, S, N), summed without expanding
-    the product or inverting it: every theta quotient is its numerator
+    """The reciprocal triple product at (R, S, N): by Jacobi's triple
+    product the product is the sparse theta sum ``bilateral_theta``, so
+    this is that sum inverted, and every theta quotient is its numerator
     times this series. One entry is enough: a CLI grid holds (R, S, N)
     fixed and sweeps only k, so every point after the first hits."""
-    return inverse_triple_product(R, S, N)
+    return bilateral_theta(R, S, N).invert()
 
 
 def _euler_cubed(N: int) -> IntSeries:
-    """(q; q)_inf cubed by two products. Chaining three Euler sums (as
-    ``triple_product`` does) is slower here: 50 ms against 25 ms for
-    e * e * e at N = 2500 (Python 3.11, 2-core host). It is not memoized:
-    jacobi-cube builds the cube once, and gz reads it once through
-    ``_inv_euler_cubed``."""
+    """(q; q)_inf cubed by two products: the product side of jacobi-cube
+    and its table, the only readers, each building it once, so it is not
+    memoized. Chaining three Euler sums (as ``triple_product`` does) is
+    slower here: 50 ms against 25 ms for e * e * e at N = 2500 (Python
+    3.11, 2-core host)."""
     e = pochhammer(1, 1, N)
     return e * e * e
 
 
 @lru_cache(maxsize=1)
 def _inv_euler_cubed(N: int) -> IntSeries:
-    """1/(q; q)_inf cubed, by inverting the cube. gz keeps this route:
-    chaining three Durfee-square sums (as ``inverse_triple_product`` does)
-    took 55 ms against 43 ms for the inverted cube at N = 2500 (Python
-    3.11, 2-core host). One entry is enough: a gz grid holds N fixed and
-    sweeps only k."""
-    return _euler_cubed(N).invert()
+    """1/(q; q)_inf cubed: by Jacobi's identity the cube is the sparse sum
+    ``jacobi_cube``, so this is that sum inverted. One entry is enough: a
+    gz grid holds N fixed and sweeps only k."""
+    return jacobi_cube(N).invert()
 
 
 def _add_shifted(acc: list[int], src: list[int], e: int, op=add) -> None:

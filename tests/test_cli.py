@@ -320,6 +320,26 @@ def test_closed_stdout_is_a_usage_error(argv):
         2, f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "gz", "--kmax", "1", "--N", "10"],
+    ["table", "gz", "--k", "1", "--N", "5"],
+], ids=["verify", "table"])
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_stdout_closed_at_start_is_a_usage_error(argv, out, tmp_path):
+    """With fd 1 closed when the process starts, Python sets sys.stdout to
+    None: exit 2 with one line on stderr, not exit 1 with a traceback, and
+    --out is never opened, so the payload file cannot take fd 1."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    target = tmp_path / "payload"
+    extra = ["--out", str(target)] if out else []
+    proc = subprocess.run([sys.executable, "-m", "qtrunc.cli", *argv, *extra],
+                          env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE,
+                          preexec_fn=lambda: os.close(1), timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (
+        2, f"error: cannot write to stdout: {os.strerror(errno.EBADF)}\n")
+    assert not target.exists()
+
+
 def test_output_is_byte_identical_across_runs(tmp_path, capsys):
     argv = ["verify", "conjecture", "--R", "5", "--S", "2", "--kmax", "3",
             "--N", "50", "--format", "json"]

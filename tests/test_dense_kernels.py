@@ -213,15 +213,14 @@ def _count_steps(monkeypatch):
 
 def test_wang_yee_rhs_forms_no_product_and_one_step_per_n(monkeypatch):
     """Timing-free gate: wang_yee_rhs reaches no product kernel, theta sum
-    or reciprocal triple product, and takes one geometric step per n of its
-    recurrence, n = 1..nmax, on the W - 2n + 1 coefficients that survive
-    the shift 2n, and m - 1 for its common 1/(q^R; q^R)_(m-1)."""
-    names = ("_kronecker_mul", "_schoolbook_mul", "_theta_sum", "_durfee_sum",
-             "inverse_triple_product")
-    forbidden = [record(monkeypatch, owner, name)
-                 for owner in (qseries, trunclab) for name in names
-                 if hasattr(owner, name)]
-    forbidden.append(record(monkeypatch, IntSeries, "__mul__"))
+    or reciprocal, and takes one geometric step per n of its recurrence,
+    n = 1..nmax, on the W - 2n + 1 coefficients that survive the shift 2n,
+    and m - 1 for its common 1/(q^R; q^R)_(m-1)."""
+    targets = [(qseries, "_kronecker_mul"), (qseries, "_schoolbook_mul"),
+               (qseries, "_theta_sum"), (trunclab, "_theta_sum"),
+               (trunclab, "_inv_triple"), (IntSeries, "invert"),
+               (IntSeries, "__mul__")]
+    forbidden = [record(monkeypatch, owner, name) for owner, name in targets]
     steps = _count_steps(monkeypatch)
     for m in range(1, 5):
         steps.clear()

@@ -9,8 +9,9 @@ as reference.nested_lambert_diff: every result must be equal, element for
 element. The running-quotient walker behind the q-series sums is checked
 against the per-element division of the uncut list. The
 timing-free gates count p(n) reads at the benchmark's points, the product
-kernels and geometric steps of the triple product and of its reciprocal,
-which route the geometric step takes, and how many series the memos keep.
+kernels and geometric steps of the triple product, the one inversion of
+each reciprocal, which route the geometric step takes, and how many
+series the memos keep.
 """
 
 from itertools import accumulate
@@ -246,55 +247,42 @@ def test_triple_product_forms_no_series_product(monkeypatch):
                          + euler_sum_steps(S, R, N)), (R, S)
 
 
-def durfee_sum_steps(a: int, step: int, order: int) -> list:
-    """The geometric steps of the Durfee-square sum for 1/(q^a; q^step)_inf
-    to the given order: term k >= 1 sits at e = k(a + step(k-1)) and
-    divides by (1 - q^(step k)), then by (1 - q^(a + step(k-1))), a list
-    cut to the order - e + 1 coefficients that survive its shift."""
-    steps = []
-    k = 1
-    while k * (a + step * (k - 1)) <= order:
-        kept = order - k * (a + step * (k - 1)) + 1
-        steps += [(step * k, kept), (a + step * (k - 1), kept)]
-        k += 1
-    return steps
-
-
-def test_inverse_triple_product_forms_no_product_and_no_inversion(monkeypatch, capsys):
-    """Timing-free gate: the reciprocal triple product, by which every theta
-    quotient multiplies its numerator, is three chained Durfee-square sums,
-    1/(q^R; q^R) first (as 1/(q; q) on the
-    N // R + 1 coefficients of a series in q^R), then (q^(R-S); q^R), then
-    (q^S; q^R), at the benchmark's order. It expands no triple product,
-    inverts nothing and calls no product kernel; a conjecture sweep fills
-    the memo of the reciprocal and leaves the triple product's empty."""
+def test_reciprocals_invert_once_and_form_no_product(monkeypatch, capsys):
+    """Timing-free gate: each reciprocal, by which every theta quotient and
+    gz multiply their numerators, is one call of IntSeries.invert on a
+    sparse theta-type sum (the bilateral theta sum, the Jacobi cube) at the
+    benchmark's orders. It expands no triple product and calls no product
+    kernel; a conjecture sweep fills the memo of the reciprocal, inverts
+    once, and leaves the triple product's memo empty."""
     forbidden = {name: record(monkeypatch, qseries, name)
                  for name in ("_kronecker_mul", "_schoolbook_mul", "_mul_lists",
                               "triple_product")}
     forbidden["trunclab.triple_product"] = record(monkeypatch, trunclab,
                                                   "triple_product")
-    forbidden["invert"] = record(monkeypatch, qseries.IntSeries, "invert")
-    steps = record(monkeypatch, qseries, "_div_one_minus_list",
-                   lambda dense, e: (e, len(dense)))
-    N = 3000
-    for R, S in [(5, 1), (7, 2), (4, 2)]:
-        trunclab._inv_triple.cache_clear()
-        steps.clear()
-        trunclab._inv_triple(R, S, N)
-        assert all(calls == [] for calls in forbidden.values()), (R, S)
-        assert steps == (durfee_sum_steps(1, 1, N // R) + durfee_sum_steps(R - S, R, N)
-                         + durfee_sum_steps(S, R, N)), (R, S)
+    inverted = record(monkeypatch, qseries.IntSeries, "invert",
+                      lambda series: series.dense())
+    cases = [(trunclab._inv_triple, (R, S, 3000), qseries.bilateral_theta(R, S, 3000))
+             for R, S in [(5, 1), (7, 2), (4, 2)]]
+    cases.append((trunclab._inv_euler_cubed, (2500,), partitions.jacobi_cube(2500)))
+    for reciprocal, args, denominator in cases:
+        reciprocal.cache_clear()
+        inverted.clear()
+        reciprocal(*args)
+        assert all(calls == [] for calls in forbidden.values()), args
+        assert inverted == [denominator.dense()], args
     monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
     trunclab._triple.cache_clear()
     trunclab._inv_triple.cache_clear()
+    inverted.clear()
     assert cli.main(["verify", "conjecture", "--R", "5", "--S", "2", "--kmax", "3",
                      "--N", "300"]) == 0
     capsys.readouterr()
     assert trunclab._inv_triple.cache_info().currsize == 1
     assert trunclab._triple.cache_info().currsize == 0
-    # the sweep multiplies each numerator by the reciprocal, but expands
-    # and inverts nothing
-    for name in ("triple_product", "trunclab.triple_product", "invert"):
+    # the sweep multiplies each numerator by the one memoized reciprocal,
+    # and expands nothing
+    assert len(inverted) == 1
+    for name in ("triple_product", "trunclab.triple_product"):
         assert forbidden[name] == [], name
 
 
