@@ -27,6 +27,7 @@ from . import bijections, trunclab
 from .partitions import divisor_diff, jacobi_cube, m_k, set_a_size
 from .qseries import (
     IntSeries,
+    _euler_cubed,
     _require_positive,
     _require_window,
     bilateral_theta,
@@ -165,7 +166,7 @@ SUITES = {
     "jacobi-cube": Suite(
         trunclab, "jacobi_cube_check", (_ORDER,),
         table=Table(("n", "cube", "sparse_sum"), (_ORDER,),
-                    lambda N: _coeff_rows(N, trunclab._euler_cubed(N), jacobi_cube(N)))),
+                    lambda N: _coeff_rows(N, _euler_cubed(N), jacobi_cube(N)))),
     "am-identity": Suite(
         trunclab, "am_check", (_ORDER, _sweep("k", "kmax", 6)),
         table=Table(("n", "lhs", "rhs"), (_scalar("k", 2), _ORDER),

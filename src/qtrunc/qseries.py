@@ -14,27 +14,26 @@ storage formats. A theta-type sum has only O(sqrt N) nonzero terms but
 still takes N + 1 slots; the kernels find its nonzero degrees with
 itertools.compress.
 
-A product has two kernels, chosen by the number t of nonzero terms of the
-sparser operand and the slot width w (in bytes) that Kronecker substitution
-would need for it (_mul_lists):
+A product's kernel is chosen where the product is made, not by a rule at
+run time. Every product in the package has one sparse operand: a theta-type
+sum, a monomial, or the Euler product (q; q)_infinity. So IntSeries.__mul__
+always takes the schoolbook pass (_schoolbook_mul) with the operand of
+fewer nonzero terms as the sparse side: one slice update per nonzero term,
+which adds the other operand, times that term, to the output from the
+term's degree on. For t nonzero terms that is about t (N + 1) additions at
+list speed. It is built for one sparse operand; two dense operands cost
+O(N^2) additions.
 
-- t <= _SCHOOLBOOK_MAX_TERMS, or t <= _SCHOOLBOOK_TERMS_PER_BYTE * w: the
-  schoolbook pass (_schoolbook_mul), one slice update per nonzero term,
-  which adds the other operand, times that term, to the output from the
-  term's degree on. That is t list operations at C speed, so its cost
-  grows with t and only slowly with the width. Theta numerators and
-  monomials and the theta-type blocks over a wide inverse product take
-  this path.
-- otherwise, Kronecker substitution (_kronecker_mul). Each operand is
-  packed into one int, coefficient i in the 8w-bit slot i; the two ints are
-  multiplied once by CPython; the low N + 1 slots of the product are read
-  back as signed integers, each negative slot borrowing one from the slot
-  above it. The slot width w is chosen so that no product coefficient
-  reaches 2^(8w-1) in absolute value. The packing goes through
-  int.to_bytes and int.from_bytes with an explicit length and byte order,
-  as Python 3.10 requires. Its cost grows with N * w, so it wins when the
-  sparser operand has many terms at a narrow width, as in the cube of the
-  Euler product.
+The one other kernel is Kronecker substitution (_kronecker_mul), and its
+one caller is _euler_cubed, the cube of the Euler product: there the
+sparse side has about 1.6 sqrt(N) terms but the coefficients are narrow,
+so one big-integer multiply wins. Each operand is packed into one int,
+coefficient i in the 8w-bit slot i; the two ints are multiplied once by
+CPython; the low N + 1 slots of the product are read back as signed
+integers, each negative slot borrowing one from the slot above it. The
+slot width w is chosen so that no product coefficient reaches 2^(8w-1) in
+absolute value. The packing goes through int.to_bytes and int.from_bytes
+with an explicit length and byte order, as Python 3.10 requires.
 
 Both kernels give the same exact coefficients; the tests check each
 against a naive list convolution. No module outside this one calls
@@ -87,18 +86,6 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, compress, count, repeat
 from math import isqrt
 from operator import add, mul, sub
-
-# The schoolbook pass takes a product whose sparser operand has at most
-# _SCHOOLBOOK_MAX_TERMS nonzero terms, or at most _SCHOOLBOOK_TERMS_PER_BYTE
-# times the Kronecker slot width in bytes; Kronecker takes the rest. The
-# width matters: at order 3000, the 64-term theta sum at (3, 1) times its
-# inverse product (26-byte slots) takes 7.8 ms by schoolbook and 39 ms by
-# Kronecker. Over orders 300-3000 and widths 3-40 bytes, the two kernels
-# cost the same at 3.6-22 terms per byte of width; 9 keeps the slower
-# choice within 2.6 times the faster one on that grid (Python 3.11, 2-core
-# host).
-_SCHOOLBOOK_MAX_TERMS = 16
-_SCHOOLBOOK_TERMS_PER_BYTE = 9
 
 
 class IntSeries:
@@ -219,6 +206,10 @@ class IntSeries:
         return IntSeries._from_list([c * v for v in self._dense], self.order)
 
     def __mul__(self, other):
+        """The product, to the smaller order, by the schoolbook pass over
+        the operand of fewer nonzero terms: about t (order + 1) additions
+        for t such terms, so it is built for one sparse operand (see the
+        module docstring). An int scales the series."""
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, IntSeries):
@@ -296,12 +287,6 @@ class IntSeries:
         return IntSeries._from_list(out, self.order)
 
 
-def _slot_width(bound: int) -> int:
-    """Bytes per packed slot for coefficients of absolute value at most
-    bound: the least w with bound < 2^(8w - 1)."""
-    return bound.bit_length() // 8 + 1
-
-
 def _pack(coeffs: list[int], width: int) -> int:
     """The sum of coeffs[i] * 2^(8 * width * i), for signed coefficients
     of absolute value below 2^(8 * width - 1)."""
@@ -328,20 +313,15 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
     return [s + (below < 0) for s, below in zip(slots, [0] + slots)]
 
 
-def _product_width(a: list[int], b: list[int]) -> int:
-    """Slot width in bytes that holds every coefficient of the product of
-    two coefficient lists, and every coefficient of each list; 0 when
-    either list is all zero."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    return _slot_width(bound) if bound else 0
-
-
 def _kronecker_mul(a: list[int], b: list[int], n: int) -> list[int]:
     """Coefficients of q^0..q^n of the product of two nonempty coefficient
     lists, by Kronecker substitution (see the module docstring)."""
-    width = _product_width(a, b)
-    if not width:
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
         return [0] * (n + 1)
+    # bytes per slot: the least w with bound < 2^(8w - 1), which holds every
+    # coefficient of the product and of each operand
+    width = bound.bit_length() // 8 + 1
     return _unpack(_pack(a, width) * _pack(b, width), width, n + 1)
 
 
@@ -365,15 +345,11 @@ def _schoolbook_mul(sparse: list[int], dense: list[int], n: int) -> list[int]:
 
 def _mul_lists(a: list[int], b: list[int], n: int) -> list[int]:
     """Coefficients of q^0..q^n of the product of two nonempty coefficient
-    lists, by the kernel that suits their shape (see the module docstring)."""
-    terms_a = len(a) - a.count(0)
-    terms_b = len(b) - b.count(0)
-    if terms_b < terms_a:
-        a, b, terms_a = b, a, terms_b
-    if (terms_a <= _SCHOOLBOOK_MAX_TERMS
-            or terms_a <= _SCHOOLBOOK_TERMS_PER_BYTE * _product_width(a, b)):
-        return _schoolbook_mul(a, b, n)
-    return _kronecker_mul(a, b, n)
+    lists, by the schoolbook pass with the operand of fewer nonzero terms
+    as the sparse side."""
+    if len(b) - b.count(0) < len(a) - a.count(0):
+        a, b = b, a
+    return _schoolbook_mul(a, b, n)
 
 
 def _times_one_minus_list(dense: list[int], e: int) -> None:
@@ -474,6 +450,21 @@ def pochhammer(a: int, step: int, order: int) -> IntSeries:
     return IntSeries._from_list(_euler_sum(a, step, [1] + [0] * order), order)
 
 
+def _euler_cubed(order: int) -> IntSeries:
+    """(q; q)_infinity cubed, to the given order: the product side of
+    jacobi-cube and its table, the only readers, each building it once, so
+    it is not memoized. The Euler product is expanded by ``pochhammer`` and
+    cubed by two Kronecker products, the only callers of ``_kronecker_mul``:
+    at the cube's narrow coefficients one big-integer multiply beats one
+    slice pass for each of the Euler product's 1.6 sqrt(order) terms. At
+    order 2500 the two products take 4 ms against 10 ms by the schoolbook
+    pass, and the whole cube 15 ms, where chaining three Euler sums (as
+    ``triple_product`` does) takes 31 ms (Python 3.11, 2-core host)."""
+    e = pochhammer(1, 1, order)._dense
+    return IntSeries._from_list(
+        _kronecker_mul(_kronecker_mul(e, e, order), e, order), order)
+
+
 def triple_product(R: int, S: int, order: int) -> IntSeries:
     """(q^S, q^(R-S), q^R; q^R)_infinity truncated to the given order.
 
@@ -499,7 +490,8 @@ def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,
                u: int = 0, v: int = 1) -> IntSeries:
     """Sum over 0 <= j < terms of (-1)^j (u j + v) q^(R j(j+1)/2 + b j + c),
     to the given order, over every j >= 0 when terms is None: the one
-    builder of the sparse theta-type sums.
+    builder of the sparse theta-type sums. terms = 0 is the empty sum; a
+    negative terms is a ValueError.
 
     The exponent grows by R(j+1) + b >= 1 from j to j + 1, which R >= 0 and
     R + b >= 1 guarantee, so the walk stops at the first exponent past the
@@ -508,6 +500,8 @@ def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,
     if R < 0 or R + b < 1 or c < 0:
         raise ValueError(f"need R >= 0, R + b >= 1 and c >= 0, got R={R}, b={b}, c={c}")
     _require_nonnegative("order", order)
+    if terms is not None:
+        _require_nonnegative("truncation depth", terms)
     dense = [0] * (order + 1)
     j, e = 0, c
     while e <= order and (terms is None or j < terms):
@@ -519,7 +513,8 @@ def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,
 
 def bilateral_theta(R: int, S: int, order: int, k: int | None = None) -> IntSeries:
     """Sum of (-1)^j q^(R*j(j+1)/2 - S*j) over all integers j, or over
-    -k <= j < k when k is given.
+    -k <= j < k when k is given (k = 0 is the empty sum; a negative k is a
+    ValueError).
 
     The constraint 1 <= S < R keeps every exponent nonnegative. The tail
     j = -(i+1) has exponent R i(i+1)/2 + S i + S and sign -(-1)^i. Exponents

@@ -23,6 +23,7 @@ from .partitions import _p_table, divisor_diff, jacobi_cube, m_k, set_a_size
 from .qseries import (
     IntSeries,
     _div_one_minus_list,
+    _euler_cubed,
     _euler_sum,
     _quotients,
     _require_nonnegative,
@@ -70,16 +71,6 @@ def _inv_triple(R: int, S: int, N: int) -> IntSeries:
     times this series. One entry is enough: a CLI grid holds (R, S, N)
     fixed and sweeps only k, so every point after the first hits."""
     return bilateral_theta(R, S, N).invert()
-
-
-def _euler_cubed(N: int) -> IntSeries:
-    """(q; q)_inf cubed by two products: the product side of jacobi-cube
-    and its table, the only readers, each building it once, so it is not
-    memoized. Chaining three Euler sums (as ``triple_product`` does) is
-    slower here: 50 ms against 25 ms for e * e * e at N = 2500 (Python
-    3.11, 2-core host)."""
-    e = pochhammer(1, 1, N)
-    return e * e * e
 
 
 @lru_cache(maxsize=1)
@@ -221,8 +212,9 @@ def jacobi_cube_check(N: int) -> CheckReport:
     """Cubed Euler product versus its sparse odd-weighted triangular sum.
 
     The Euler product is expanded by Euler's distinct-parts sum (see
-    ``qseries.pochhammer``) and cubed by two products; the other side is
-    the theta-type sum of ``jacobi_cube``, so the routes are independent.
+    ``qseries.pochhammer``) and cubed by two Kronecker products (see
+    ``qseries._euler_cubed``); the other side is the theta-type sum of
+    ``jacobi_cube``, so the routes are independent.
     """
     report = CheckReport("jacobi-cube", {"N": N})
     _mismatches(report, _euler_cubed(N).dense(), jacobi_cube(N).dense())
@@ -294,12 +286,13 @@ def theorem13_check(P: TruncParams) -> CheckReport:
 
 def index_weighted_sums(nmax: int, k: int | None = None) -> list[int]:
     """For every 0 <= n <= nmax, the sum of (-1)^j j p(n - gpn(j)) over the
-    j with gpn(j) <= n, restricted to -k <= j < k when k is given.
+    j with gpn(j) <= n, restricted to -k <= j < k when k is given (a
+    negative k is a ValueError).
 
     That is one product: the index-weighted theta sum at (R, S) = (3, 1),
     whose exponent 3 j(j+1)/2 - j is gpn(j), times p(0..nmax) read once
-    from the memo of ``partitions.p_euler``. Its O(sqrt(nmax)) terms put
-    the product on the schoolbook pass, one slice update per j.
+    from the memo of ``partitions.p_euler``. The schoolbook pass makes one
+    slice update per j, O(sqrt(nmax)) of them.
     """
     _require_nonnegative("nmax", nmax)
     p = IntSeries._from_list(_p_table.upto(nmax)[:nmax + 1], nmax)

@@ -8,6 +8,7 @@ exactly. lambert_diff's divisor sieve is checked in test_slice_kernels.py.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,12 +28,11 @@ from reference import factor_steps, naive_mul, record
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=10)
 
 # Signed coefficients up to a few hundred bits, with zeros mixed in, and
-# lengths that put the sparser operand on either side of the schoolbook
-# crossover.
+# lengths from a monomial up to dozens of nonzero terms.
 wide_coeff_lists = st.lists(
     st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
               st.integers(min_value=-(2 ** 400), max_value=2 ** 400)),
-    min_size=1, max_size=3 * qseries._SCHOOLBOOK_MAX_TERMS,
+    min_size=1, max_size=48,
 )
 
 
@@ -112,41 +112,79 @@ def test_kronecker_kernel_matches_naive_convolution(xs, ys):
     expected = naive_mul(xs, ys, order)
     # the kernel alone, with operands of unequal length
     assert qseries._kronecker_mul(xs, ys, order) == expected
-    # through __mul__, whichever kernel the crossover picks
+    # through __mul__, by the schoolbook pass
     a = IntSeries.from_dense(xs)
     b = IntSeries.from_dense(ys)
     assert (a * b).dense() == expected
     assert (a * b) == (b * a)
 
 
-def test_mul_switches_kernel_above_crossover(monkeypatch):
-    """The calibrated rule: the schoolbook pass takes a product whose
-    sparser operand has t <= 16 nonzero terms, or t <= 9 w for the
-    Kronecker slot width of w bytes the product would need; Kronecker
-    substitution takes the rest. The shapes are written out, not read from
-    the module, so that moving either constant fails here."""
-    calls = record(monkeypatch, qseries, "_kronecker_mul")
-    # (terms, dense coefficient, dense length, slot width, Kronecker?)
-    shapes = (
-        (1, 1, 60, 1, False),          # a monomial
-        (16, 1, 60, 1, False),         # few terms
-        (17, 1, 60, 1, True),          # past 16 terms at width 1 (9 w = 9)
-        (18, 2 ** 8, 60, 2, False),    # middle band: t = 9 w at width 2
-        (19, 2 ** 8, 60, 2, True),
-        (40, 2 ** 8, 60, 2, True),     # many terms at narrow width
-        (36, 2 ** 20, 120, 4, False),  # t = 9 w at width 4
-        (37, 2 ** 20, 120, 4, True),
-        (81, 2 ** 60, 120, 9, False),  # t = 9 w at width 9
-        (82, 2 ** 60, 120, 9, True),
-    )
-    for terms, c, length, width, used in shapes:
-        xs = [(-1) ** i for i in range(terms)] + [0] * (length - terms)
-        dense = [c * (-1) ** (i // 2) for i in range(length)]
-        assert qseries._product_width(xs, dense) == width, (terms, width)
-        calls.clear()
-        product = IntSeries.from_dense(xs) * IntSeries.from_dense(dense)
-        assert product.dense() == naive_mul(xs, dense, length - 1), (terms, width)
-        assert bool(calls) is used, (terms, width)
+# One small point of every suite's verify and of every table.
+SMALL_VERIFY = {
+    "pentagonal": "--R 5 --S 2 --N 40",
+    "jacobi-cube": "--N 60",
+    "am-identity": "--kmax 2 --N 40",
+    "theorem12": "--nmax 8 --kmax 2",
+    "mk-identity": "--nmax 8 --kmax 2",
+    "phi": "--n 8",
+    "psi": "--nmax 6 --kmax 2",
+    "conjecture": "--R 5 --S 2 --kmax 2 --N 60",
+    "theorem13": "--R 5 --S 3 --kmax 2 --N 60",
+    "corollary14": "--kmax 2 --nmax 60",
+    "gz": "--kmax 2 --N 40",
+    "mao": "--R 5 --S 2 --kmax 2 --N 50",
+    "decomposition": "--R 5 --S 2 --kmax 2 --N 60",
+    "wang-yee": "--R 3 --S 1 --m 2 --N 40",
+    "recurrence117": "--nmax 60",
+}
+SMALL_TABLE = {
+    "pentagonal": "--R 5 --S 2 --N 30",
+    "jacobi-cube": "--N 40",
+    "am-identity": "--k 2 --N 30",
+    "theorem12": "--n 8 --k 2",
+    "mk-identity": "--n 8 --k 2",
+    "conjecture": "--R 5 --S 1 --k 2 --N 40",
+    "theorem13": "--R 5 --S 2 --k 2 --N 40",
+    "corollary14": "--k 2 --nmax 30",
+    "gz": "--k 1 --N 30",
+    "recurrence117": "--nmax 30",
+}
+
+
+def test_products_take_the_kernel_of_their_call_site(monkeypatch, capsys):
+    """Timing-free route gate: at one small point of every suite's verify
+    and of every table, _kronecker_mul is called only by the Euler cube,
+    twice per jacobi-cube point, and every series product through
+    IntSeries.__mul__ reaches _schoolbook_mul once, with the operand of
+    fewer nonzero terms as the sparse side."""
+    assert set(SMALL_VERIFY) == set(cli.SUITES)
+    assert set(SMALL_TABLE) == {name for name, suite in cli.SUITES.items() if suite.table}
+    monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
+    # frame 0 is the view, 1 the recorder, 2 the kernel's caller
+    kronecker = record(monkeypatch, qseries, "_kronecker_mul",
+                       lambda a, b, n: sys._getframe(2).f_code.co_name)
+    schoolbook = record(monkeypatch, qseries, "_schoolbook_mul",
+                        lambda sparse, dense, n: (sparse, dense))
+    products = record(monkeypatch, IntSeries, "__mul__",
+                      lambda a, b: isinstance(b, IntSeries))
+    runs = [("verify", name, args) for name, args in SMALL_VERIFY.items()]
+    runs += [("table", name, args) for name, args in SMALL_TABLE.items()]
+    for command, name, args in runs:
+        for calls in (kronecker, schoolbook, products):
+            calls.clear()
+        assert cli.main([command, name, *args.split(), "--format", "csv"]) == 0, name
+        capsys.readouterr()
+        assert kronecker == ["_euler_cubed"] * 2 * (name == "jacobi-cube"), name
+        assert len(schoolbook) == products.count(True), name
+        for sparse, dense in schoolbook:
+            assert len(sparse) - sparse.count(0) <= len(dense) - dense.count(0), name
+    # the dense operand on the left: the sparse theta sum is still the sparse side
+    dense = pochhammer(1, 1, 60).invert()
+    sparse = bilateral_theta(5, 2, 60)
+    schoolbook.clear()
+    product = dense * sparse
+    assert schoolbook == [(sparse.dense(), dense.dense())]
+    assert product.dense() == naive_mul(dense.dense(), sparse.dense(), 60)
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)

@@ -20,6 +20,7 @@ from qtrunc.trunclab import (
     d_series,
     gz_series,
     i_series,
+    index_weighted_sums,
     mao_check,
 )
 
@@ -193,3 +194,14 @@ def test_theta_sum_rejects_nonincreasing_or_negative_exponents():
             _theta_sum(R, b, c, 40)
     with pytest.raises(ValueError):
         _theta_sum(1, 0, 0, -1)
+
+
+def test_negative_truncation_depth_is_an_error():
+    """A negative depth used to be read as the empty sum, a zero series;
+    depth 0 is still the empty sum."""
+    with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
+        bilateral_theta(5, 2, 20, -3)
+    with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
+        index_weighted_sums(10, -2)
+    assert bilateral_theta(5, 2, 20, 0) == IntSeries.zero(20)
+    assert index_weighted_sums(10, 0) == [0] * 11
