@@ -11,25 +11,36 @@ Two scans over coefficient lists write every series verdict's witnesses:
 ``_mismatches`` for an equality claim and ``_bounded`` for a sign claim
 (a coefficient at least, or at most, a bound). The witness is the bare
 degree, or the degree under the claim's tag.
+
+The sign suites sweep k = 1..kmax over one memoized reciprocal, so each
+k-truncated quotient is a running sum (``_RunningSum``): one list per
+numerator kind, extended by the new terms of each deeper k, one slice
+update per term, instead of one product per k. A sweep makes 2 kmax
+updates instead of kmax (kmax + 1). Every reader returns a signed copy.
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import combinations, compress, count
-from operator import add, gt, lt, ne, sub
+from operator import gt, lt, ne
 
 from .partitions import _p_table, divisor_diff, jacobi_cube, m_k, set_a_size
 from .qseries import (
     IntSeries,
+    _add_shifted,
     _div_one_minus_list,
     _euler_cubed,
     _euler_sum,
     _quotients,
+    _require_int,
     _require_nonnegative,
     _require_positive,
     _require_window,
     _theta_sum,
+    _theta_terms,
     _times_one_minus_list,
     bilateral_theta,
     lambert_diff,
@@ -45,6 +56,8 @@ class TruncParams(_Record):
     __slots__ = _fields = ("R", "S", "k", "N")
 
     def __init__(self, R: int, S: int, k: int, N: int):
+        for name, value in (("R", R), ("S", S), ("k", k)):
+            _require_int(name, value)
         if R < 1 or S < 1 or k < 1:
             raise ValueError(f"R, S, k must be positive, got R={R}, S={S}, k={k}")
         _require_nonnegative("N", N)
@@ -81,12 +94,84 @@ def _inv_euler_cubed(N: int) -> IntSeries:
     return jacobi_cube(N).invert()
 
 
-def _add_shifted(acc: list[int], src: list[int], e: int, op=add) -> None:
-    """acc = op(acc, q^e * src) in place, add unless op is given, dropping
-    what falls past the end of acc."""
-    if e < len(acc):
-        end = e + len(src)
-        acc[e:end] = map(op, acc[e:end], src)
+class _RunningSum:
+    """A one-entry memo of one k-truncated quotient: a start list plus the
+    numerator cut at depth k times a reciprocal, to order N.
+
+    The numerator is a sum of signed tails, each a theta-type sum (see
+    ``qseries._theta_terms``); depth k takes the first k terms of every
+    tail. A request at the same tails, order and reciprocal object
+    (``is``), at a depth k' >= the stored k, adds only the new terms, one
+    slice update each; any other request rebuilds from the start list.
+    Since a tail's exponents increase, the first step whose terms are all
+    past N ends the sum: every deeper cut, and the full sum (depth None),
+    is the stored list. The lock makes each read one step for threads.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        self._key = self._reciprocal = None
+
+    def read(self, tails: tuple, N: int, reciprocal: list[int], depth: int | None,
+             sign: int = 1, start: Callable[[], list[int]] | None = None) -> list[int]:
+        """sign times (start + numerator cut at depth times reciprocal), to
+        order N, as a fresh list. tails is a tuple of (sign, (R, b, c, u, v)),
+        each the arguments of one ``_theta_terms``; start, called only on a
+        rebuild, gives a fresh list of N + 1 ints, zeros if None."""
+        with self._lock:
+            if ((tails, N) != self._key or reciprocal is not self._reciprocal
+                    or depth is not None and depth < self._depth):
+                self._acc = [0] * (N + 1) if start is None else start()
+                self._tails = [(c, _theta_terms(*args)) for c, args in tails]
+                self._key, self._reciprocal = (tails, N), reciprocal
+                self._depth, self._ended = 0, False
+            acc = self._acc
+            try:
+                while not self._ended and (depth is None or self._depth < depth):
+                    self._ended = True
+                    for c, terms in self._tails:
+                        e, w = next(terms)
+                        if e <= N:
+                            self._ended = False
+                            if w:
+                                _add_shifted(acc, reciprocal, e, c * w)
+                    self._depth += not self._ended
+            except BaseException:
+                self.clear()  # a step cut short leaves the list half updated
+                raise
+            return list(acc) if sign == 1 else [-x for x in acc]
+
+
+# One running sum per numerator kind. The tails of the bilateral theta sum
+# (the theta cut) and of its index-weighted sum are the terms j >= 0 and
+# j = -(i+1), i >= 0: see ``qseries.bilateral_theta`` and ``_index_tails``.
+_THETA_CUT = _RunningSum()    # theta quotients: conjecture, am-identity, wang-yee
+_INDEX_CUT = _RunningSum()    # index-weighted cut minus lambert_diff: theorem13, decomposition
+_GZ_CUT = _RunningSum()       # gz's odd-weighted cut over the Euler cube
+_P_INDEX_CUT = _RunningSum()  # index-weighted cut over p(n): corollary14, recurrence117
+
+
+def _theta_tails(R: int, S: int) -> tuple:
+    """The bilateral theta sum's tails: (-1)^j q^(R j(j+1)/2 - S j) over
+    j >= 0, and minus (-1)^i q^(R i(i+1)/2 + S i + S) over j = -(i+1)."""
+    return ((1, (R, -S, 0, 0, 1)), (-1, (R, S, S, 0, 1)))
+
+
+def _index_tails(R: int, S: int) -> tuple:
+    """The index-weighted theta sum's tails: (-1)^j j q^(R j(j+1)/2 - S j)
+    over j >= 0, and (-1)^i (i+1) q^(R i(i+1)/2 + S i + S) over j = -(i+1);
+    at (R, S) = (3, 1) the exponent is gpn(j)."""
+    return ((1, (R, -S, 0, 1, 0)), (1, (R, S, S, 1, 1)))
+
+
+def _theta_quotient(R: int, S: int, N: int, k: int, sign: int = 1) -> IntSeries:
+    """sign times the bilateral theta sum over -k <= j < k, divided by the
+    triple product: the running theta cut."""
+    return IntSeries._from_list(
+        _THETA_CUT.read(_theta_tails(R, S), N, _inv_triple(R, S, N)._dense, k, sign), N)
 
 
 def _mismatches(report: CheckReport, actual: list[int], expected: list[int],
@@ -121,9 +206,10 @@ def _bounded(report: CheckReport, actual: list[int], n0: int,
 
 def am_lhs(k: int, N: int) -> IntSeries:
     """k-truncated pentagonal alternating sum divided by the Euler product:
-    the theta quotient at (R, S) = (3, 1), whose triple product is (q;q)_inf."""
+    the theta quotient at (R, S) = (3, 1), whose triple product is (q;q)_inf,
+    a copy of the running theta cut."""
     _require_positive("k", k)
-    return bilateral_theta(3, 1, N, k) * _inv_triple(3, 1, N)
+    return _theta_quotient(3, 1, N, k)
 
 
 def am_rhs(k: int, N: int) -> IntSeries:
@@ -231,15 +317,14 @@ def conjecture_regime(R: int, S: int) -> str:
 
 
 def conjecture_series(P: TruncParams) -> IntSeries:
-    """Signed k-truncated theta sum divided by the triple product.
+    """Signed k-truncated theta sum divided by the triple product: a copy
+    of the running theta cut.
 
-    The sign (-1)^(k-1) is folded into the sparse numerator, so
-    nonnegativity of the coefficients from q^1 on is the literal claim
-    under test.
+    The sign (-1)^(k-1) is applied as the copy is made, so nonnegativity
+    of the coefficients from q^1 on is the literal claim under test.
     """
     _require_window(P.R, P.S)
-    numerator = bilateral_theta(P.R, P.S, P.N, P.k).scale(_sign(P.k - 1))
-    return numerator * _inv_triple(P.R, P.S, P.N)
+    return _theta_quotient(P.R, P.S, P.N, P.k, _sign(P.k - 1))
 
 
 def conjecture_check(P: TruncParams) -> CheckReport:
@@ -252,26 +337,25 @@ def conjecture_check(P: TruncParams) -> CheckReport:
     return report
 
 
-def _index_theta(R: int, S: int, N: int, k: int | None = None) -> IntSeries:
-    """The index-weighted theta sum over -k <= j < k (every j when k is
-    None) of (-1)^j j q^(R j(j+1)/2 - S j), to order N: the numerator of
-    d_series and, at (R, S) = (3, 1), where the exponent is gpn(j), of
-    index_weighted_sums."""
-    # the term j = -(i+1) is (-1)^i (i+1) q^(R i(i+1)/2 + S i + S)
-    return _theta_sum(R, -S, 0, N, k, u=1, v=0) + _theta_sum(R, S, S, N, k, u=1)
+def _signed_d(P: TruncParams, sign: int) -> IntSeries:
+    """sign times d_series: the running index-weighted cut, which starts
+    at -lambert_diff(R, S, N)."""
+    _require_window(P.R, P.S)
+    R, S, k, N = P.R, P.S, P.k, P.N
+    dense = _INDEX_CUT.read(_index_tails(R, S), N, _inv_triple(R, S, N)._dense, k, sign,
+                            lambda: lambert_diff(R, S, N).scale(-1)._dense)
+    return IntSeries._from_list(dense, N)
 
 
 def d_series(P: TruncParams) -> IntSeries:
-    """Index-weighted truncated theta sum (``_index_theta``) over the
+    """Index-weighted truncated theta sum (see ``_index_tails``) over the
     triple product, minus the divisor-difference series it approximates."""
-    _require_window(P.R, P.S)
-    R, S, k, N = P.R, P.S, P.k, P.N
-    return _index_theta(R, S, N, k) * _inv_triple(R, S, N) - lambert_diff(R, S, N)
+    return _signed_d(P, 1)
 
 
 def theorem13_series(P: TruncParams) -> IntSeries:
     """d_series with the sign (-1)^(k-1) folded in."""
-    return d_series(P).scale(_sign(P.k - 1))
+    return _signed_d(P, _sign(P.k - 1))
 
 
 def theorem13_check(P: TruncParams) -> CheckReport:
@@ -287,16 +371,17 @@ def theorem13_check(P: TruncParams) -> CheckReport:
 def index_weighted_sums(nmax: int, k: int | None = None) -> list[int]:
     """For every 0 <= n <= nmax, the sum of (-1)^j j p(n - gpn(j)) over the
     j with gpn(j) <= n, restricted to -k <= j < k when k is given (a
-    negative k is a ValueError).
+    negative or non-int k is a ValueError).
 
-    That is one product: the index-weighted theta sum at (R, S) = (3, 1),
-    whose exponent 3 j(j+1)/2 - j is gpn(j), times p(0..nmax) read once
-    from the memo of ``partitions.p_euler``. The schoolbook pass makes one
-    slice update per j, O(sqrt(nmax)) of them.
+    That is the index-weighted theta sum at (R, S) = (3, 1), whose exponent
+    3 j(j+1)/2 - j is gpn(j), times p(0..nmax) read from the memo of
+    ``partitions.p_euler``: the running index-weighted cut over p(n), one
+    slice update per new j, O(sqrt(nmax)) of them for the full sum.
     """
     _require_nonnegative("nmax", nmax)
-    p = IntSeries._from_list(_p_table.upto(nmax)[:nmax + 1], nmax)
-    return (_index_theta(3, 1, nmax, k) * p).dense()
+    if k is not None:
+        _require_nonnegative("truncation depth", k)
+    return _P_INDEX_CUT.read(_index_tails(3, 1), nmax, _p_table.upto(nmax), k)
 
 
 def corollary14_report(k: int, nmax: int) -> CheckReport:
@@ -450,11 +535,13 @@ def decomposition_check(P: TruncParams) -> CheckReport:
 
 def gz_series(k: int, N: int) -> IntSeries:
     """Signed k-truncated odd-weighted triangular sum over the cubed Euler
-    product; the sign (-1)^k, folded into the weights of the sparse sum,
-    makes nonnegativity from q^1 the literal claim."""
+    product, a copy of the running gz cut; the sign (-1)^k, applied as the
+    copy is made, makes nonnegativity from q^1 the literal claim."""
     _require_positive("k", k)
-    sign = _sign(k)
-    return _theta_sum(1, 0, 0, N, k + 1, u=2 * sign, v=sign) * _inv_euler_cubed(N)
+    # the Jacobi cube's terms (-1)^j (2j + 1) q^(j(j+1)/2), j = 0..k
+    dense = _GZ_CUT.read(((1, (1, 0, 0, 2, 1)),), N, _inv_euler_cubed(N)._dense, k + 1,
+                         _sign(k))
+    return IntSeries._from_list(dense, N)
 
 
 def gz_check(k: int, N: int) -> CheckReport:
@@ -514,18 +601,18 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     W = N - monomial
     d = R - S
     f = (0, S, 2 * S, m * R + S)
-    # (k, op, e): op q^e U_(n-k), for the terms that do not depend on n
-    fixed = [(k, add if k % 2 else sub, sum(c))
+    # (k, c, e): c q^e U_(n-k), for the terms that do not depend on n
+    fixed = [(k, 1 if k % 2 else -1, sum(c))
              for k in range(1, 5) for c in combinations(f, k)]
     total = [0] * (W + 1)
     recent = [[1] + [0] * W]  # U_(n-4) .. U_(n-1), the newest last
     for n in range(1, W // d + 1):
         u = [0] * (W - n * d + 1)
-        terms = fixed + [(2, sub, R * n - 2 * d), (2, sub, R * (n + 1) - 2 * d),
-                         (4, add, R * (n + 1) - 4 * d)]
-        for k, op, e in terms:
+        terms = fixed + [(2, -1, R * n - 2 * d), (2, -1, R * (n + 1) - 2 * d),
+                         (4, 1, R * (n + 1) - 4 * d)]
+        for k, c, e in terms:
             if k <= n:
-                _add_shifted(u, recent[-k], e, op)
+                _add_shifted(u, recent[-k], e, c)
         _div_one_minus_list(u, R * n)
         if n >= m:
             _add_numerator_term(total, u, n * d, R, n - 1, m - 1)
@@ -543,6 +630,5 @@ def wang_yee_check(R: int, S: int, m: int, N: int) -> CheckReport:
     quadruple-sum series form (wang_yee_rhs), compared exactly to order N."""
     rhs = wang_yee_rhs(R, S, m, N).dense()
     report = CheckReport("wang-yee", {"R": R, "S": S, "m": m, "N": N})
-    lhs = bilateral_theta(R, S, N, m) * _inv_triple(R, S, N)
-    _mismatches(report, lhs.dense(), rhs)
+    _mismatches(report, _theta_quotient(R, S, N, m).dense(), rhs)
     return report

@@ -2,7 +2,8 @@
 
 IntSeries once stored its nonzero coefficients in a {degree: coefficient}
 dict and converted to and from lists around every kernel. The methods
-below are that class's bodies, unchanged apart from the class name: the
+below are that class's bodies, unchanged apart from the class name and
+invert's loop, which is now the one copy in reference.naive_invert: the
 list-backed IntSeries must agree with them on every result, order and
 error message.
 """
@@ -10,6 +11,7 @@ error message.
 from __future__ import annotations
 
 from qtrunc.qseries import _mul_lists
+from reference import naive_invert
 
 
 class DictSeries:
@@ -123,19 +125,7 @@ class DictSeries:
         c0 = self.coeffs.get(0, 0)
         if c0 not in (1, -1):
             raise ValueError(f"cannot invert series with constant coefficient {c0}")
-        n = self.order
-        a = self.dense()
-        nz = sorted(d for d in self.coeffs if d >= 1)
-        b = [0] * (n + 1)
-        b[0] = c0
-        for m in range(1, n + 1):
-            acc = 0
-            for i in nz:
-                if i > m:
-                    break
-                acc += a[i] * b[m - i]
-            b[m] = -c0 * acc
-        return DictSeries._from_list(b, n)
+        return DictSeries._from_list(naive_invert(self.dense()), self.order)
 
     def shifted(self, e: int) -> DictSeries:
         if e >= 0:

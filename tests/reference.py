@@ -21,6 +21,25 @@ def naive_mul(a: list, b: list, order: int) -> list:
     return out
 
 
+def naive_invert(a: list) -> list:
+    """1/a to the order len(a) - 1, for a[0] = 1 or -1, one coefficient at
+    a time: b[m] = -a[0] times the sum over the nonzero a[i], 1 <= i <= m,
+    of a[i] b[m - i]. This was IntSeries.invert's loop before the block
+    slices."""
+    c0 = a[0]
+    nonzero = [i for i in range(1, len(a)) if a[i]]
+    b = [0] * len(a)
+    b[0] = c0
+    for m in range(1, len(a)):
+        acc = 0
+        for i in nonzero:
+            if i > m:
+                break
+            acc += a[i] * b[m - i]
+        b[m] = -c0 * acc
+    return b
+
+
 def factor_steps(bases: tuple, step: int, order: int) -> list:
     """Expand the product over b in bases of prod_i (1 - q^(b + i*step)) one
     factor at a time, each factor one O(order) pass over the list: the

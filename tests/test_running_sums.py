@@ -1,0 +1,228 @@
+"""The running k-sums of trunclab against the per-k route they replaced.
+
+Every reader of a k-truncated quotient (conjecture_series, d_series,
+theorem13_series, am_lhs, gz_series, index_weighted_sums and wang-yee's
+left side) returns a signed copy of one running list that each request
+extends by the new terms only. The per-k route, the numerator cut at k
+times the reciprocal, is the oracle: the hypothesis test walks k up, down
+and in place, with changes of (R, S), N, reciprocal and kind in between.
+The timing-free gate counts the slice updates of a CLI sweep, and the
+concurrency tests compare threads and the process pool with a serial run.
+"""
+
+import sys
+import threading
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qtrunc import cli, qseries, trunclab
+from qtrunc.partitions import jacobi_cube
+from qtrunc.qseries import IntSeries, _theta_sum, bilateral_theta, lambert_diff
+from qtrunc.trunclab import (
+    TruncParams,
+    am_lhs,
+    conjecture_series,
+    d_series,
+    gz_series,
+    index_weighted_sums,
+    theorem13_series,
+    wang_yee_check,
+)
+from reference import record
+
+
+def sign(j: int) -> int:
+    return 1 if j % 2 == 0 else -1
+
+
+def index_numerator(R: int, S: int, N: int, k: int | None) -> IntSeries:
+    """The index-weighted theta sum over -k <= j < k of (-1)^j j
+    q^(R j(j+1)/2 - S j), every j when k is None, by its two tails."""
+    return _theta_sum(R, -S, 0, N, k, u=1, v=0) + _theta_sum(R, S, S, N, k, u=1)
+
+
+def per_k(kind: str, R: int, S: int, N: int, k: int | None) -> list:
+    """What the reader of kind returns at (R, S, N, k), computed per k: the
+    numerator cut at k times a reciprocal inverted here."""
+    if kind == "gz":
+        numerator = _theta_sum(1, 0, 0, N, k + 1, u=2 * sign(k), v=sign(k))
+        return (numerator * jacobi_cube(N).invert()).dense()
+    if kind == "index":
+        return (index_numerator(3, 1, N, k) * bilateral_theta(3, 1, N).invert()).dense()
+    if kind == "am":
+        R, S = 3, 1
+    inverse = bilateral_theta(R, S, N).invert()
+    if kind in ("conjecture", "am"):
+        signed = sign(k - 1) if kind == "conjecture" else 1
+        return (bilateral_theta(R, S, N, k).scale(signed) * inverse).dense()
+    d = index_numerator(R, S, N, k) * inverse - lambert_diff(R, S, N)
+    return d.scale(sign(k - 1) if kind == "theorem13" else 1).dense()
+
+
+def read(kind: str, R: int, S: int, N: int, k: int | None) -> list:
+    """What the library's reader of kind returns at (R, S, N, k)."""
+    if kind == "gz":
+        return gz_series(k, N).dense()
+    if kind == "index":
+        return index_weighted_sums(N, k)
+    if kind == "am":
+        return am_lhs(k, N).dense()
+    reader = {"conjecture": conjecture_series, "d": d_series,
+              "theorem13": theorem13_series}[kind]
+    return reader(TruncParams(R, S, k, N)).dense()
+
+
+KINDS = ("conjecture", "d", "theorem13", "am", "gz", "index")
+windows = st.integers(2, 7).flatmap(
+    lambda R: st.tuples(st.just(R), st.sampled_from(range(1, R))))
+requests = st.lists(st.tuples(st.sampled_from(KINDS), windows, st.sampled_from((0, 17, 40)),
+                              st.none() | st.integers(0, 7), st.booleans()),
+                    min_size=1, max_size=12)
+
+
+@pytest.mark.usefixtures("fresh_running_memos")
+@settings(max_examples=60, deadline=None)
+@given(requests)
+# R = 2S, where the two tails share their exponents: k rises, repeats and
+# falls at one point, then the kind and the order change
+@example([("conjecture", (4, 2), 40, 3, False), ("conjecture", (4, 2), 40, 5, False),
+          ("conjecture", (4, 2), 40, 5, False), ("conjecture", (4, 2), 40, 2, False),
+          ("theorem13", (4, 2), 40, 4, False), ("d", (6, 3), 40, 6, False),
+          ("d", (6, 3), 17, 7, False), ("d", (6, 3), 17, 1, True)])
+def test_running_sums_equal_the_per_k_products(requests):
+    """Each request (kind, (R, S), N, k, renew) reads one running list;
+    with renew, the memo of the reciprocal is cleared first, so the same
+    (R, S, N) comes with a new reciprocal object. k = 0 and None are the
+    index sums' empty and uncut sums, and k = 1 for the other kinds."""
+    for kind, (R, S), N, k, renew in requests:
+        if renew:
+            trunclab._inv_triple.cache_clear()
+            trunclab._inv_euler_cubed.cache_clear()
+        if kind != "index":
+            k = k or 1
+        assert read(kind, R, S, N, k) == per_k(kind, R, S, N, k), (kind, R, S, N, k)
+
+
+@pytest.mark.usefixtures("fresh_running_memos")
+def test_a_new_reciprocal_object_rebuilds(monkeypatch):
+    """The memo holds its reciprocal by identity: at the same (R, S, N) and
+    a deeper k, another reciprocal object, here a rigged one, is a rebuild,
+    not an extension of the list built with the first."""
+    conjecture_series(TruncParams(5, 2, 2, 60))
+    monkeypatch.setattr(trunclab, "_inv_triple", lambda R, S, N: IntSeries.one(N))
+    assert conjecture_series(TruncParams(5, 2, 3, 60)) == bilateral_theta(5, 2, 60, 3)
+
+
+@pytest.mark.usefixtures("fresh_running_memos")
+def test_uncut_index_sums_equal_every_deeper_cut():
+    """index_weighted_sums(nmax) is the full sum: it equals the per-k
+    route uncut, and every cut past the last gpn(j) <= nmax, whether it is
+    asked for before or after."""
+    full = per_k("index", 3, 1, 300, None)
+    assert index_weighted_sums(300) == full
+    for k in (15, 40, 14, 16, 200, None, 3):
+        assert index_weighted_sums(300, k) == per_k("index", 3, 1, 300, k), k
+    assert per_k("index", 3, 1, 300, 14) == full
+
+
+@pytest.mark.usefixtures("fresh_running_memos")
+def test_wang_yee_reads_the_running_theta_cut():
+    """wang-yee's left side is a copy of the theta cut's running list: a
+    change to the stored list shows in the next check at the same (R, S, N)
+    and a deeper m, and a cleared memo rebuilds the list."""
+    for m in (1, 2, 3):
+        assert wang_yee_check(3, 1, m, 120).passed, m
+    trunclab._THETA_CUT._acc[50] += 1
+    assert not wang_yee_check(3, 1, 3, 120).passed
+    trunclab._THETA_CUT.clear()
+    assert wang_yee_check(3, 1, 3, 120).passed
+
+
+# (verify arguments, slice updates of the sweep): 2 per k, but the term
+# j = 0 of the index-weighted sum has weight 0; gz adds one term per k, on
+# top of its two at k = 1
+SWEEPS = [
+    pytest.param("conjecture --R 5 --S 2 --kmax 8 --N 600", 2 * 8, id="conjecture-5-2"),
+    pytest.param("conjecture --R 7 --S 5 --kmax 8 --N 600", 2 * 8, id="conjecture-7-5"),
+    pytest.param("theorem13 --R 5 --S 2 --kmax 8 --N 600", 2 * 8 - 1, id="theorem13-5-2"),
+    pytest.param("theorem13 --R 7 --S 1 --kmax 8 --N 600", 2 * 8 - 1, id="theorem13-7-1"),
+    pytest.param("gz --kmax 5 --N 600", 5 + 1, id="gz"),
+    pytest.param("corollary14 --kmax 6 --nmax 600", 2 * 6 - 1, id="corollary14"),
+]
+
+
+@pytest.mark.usefixtures("fresh_running_memos")
+@pytest.mark.parametrize("argv, passes", SWEEPS)
+def test_a_sweep_makes_two_slice_updates_per_k(argv, passes, monkeypatch, capsys):
+    """Timing-free gate: with the reciprocal warm, a sweep k = 1..kmax adds
+    each new term's multiple of the reciprocal once, one slice update, and
+    forms no series product: 2 kmax updates in all, where the per-k route
+    made kmax (kmax + 1)."""
+    monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
+    argv = ["verify", *argv.split()]
+    assert cli.main(argv) == 0  # warms the reciprocal's memo
+    capsys.readouterr()
+    for memo in (trunclab._THETA_CUT, trunclab._INDEX_CUT, trunclab._GZ_CUT,
+                 trunclab._P_INDEX_CUT):
+        memo.clear()
+    updates = record(monkeypatch, trunclab, "_add_shifted")
+    products = record(monkeypatch, qseries, "_add_shifted")
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(updates) == passes
+    assert products == []
+
+
+@pytest.mark.usefixtures("fresh_running_memos")
+def test_threads_sweeping_different_windows_get_the_serial_series():
+    """Two threads sweep conjecture and theorem13 up and down at (5, 2) and
+    (7, 3), switching as often as the interpreter can, so each request
+    meets the other thread's entry and the two reciprocals evict each
+    other; every series equals the serial one."""
+    ks = [1, 2, 3, 4, 5, 3, 6, 1, 8, 2]
+    points = {window: [TruncParams(*window, k, 300) for k in ks]
+              for window in ((5, 2), (7, 3))}
+    readers = (conjecture_series, theorem13_series)
+    serial = {w: [[f(P).dense() for f in readers] for P in ps] for w, ps in points.items()}
+    results = {}
+
+    def sweep(window):
+        results[window] = [[f(P).dense() for f in readers]
+                           for _ in range(8) for P in points[window]]
+
+    threads = [threading.Thread(target=sweep, args=(w,)) for w in points]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for window, got in results.items():
+        assert got == serial[window] * 8, window
+
+
+@pytest.mark.usefixtures("fresh_running_memos")
+@pytest.mark.parametrize("argv", [
+    ["conjecture", "--R", "5", "--S", "2", "--kmax", "6", "--N", "400"],
+    ["theorem13", "--R", "4", "--S", "2", "--kmax", "6", "--N", "400"],
+    ["gz", "--kmax", "6", "--N", "400"],
+    ["corollary14", "--kmax", "6", "--nmax", "400"],
+], ids=lambda argv: argv[0])
+def test_pooled_sweeps_equal_the_serial_payload(argv, tmp_path, capsys, monkeypatch):
+    """The pool's payload equals the serial one, byte for byte. Forked
+    workers inherit the memos the serial run left at k = 6, so their first
+    request, for a lower k, rebuilds; later ones skip the k that the other
+    worker took."""
+    serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+    monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
+    assert cli.main(["verify", *argv, "--format", "json", "--out", str(serial)]) == 0
+    monkeypatch.setenv("QTRUNC_WORKERS", "2")
+    assert cli.main(["verify", *argv, "--format", "json", "--out", str(pooled)]) == 0
+    capsys.readouterr()
+    assert serial.read_bytes() == pooled.read_bytes()

@@ -1,12 +1,12 @@
 """The slice kernels against the per-coefficient loops they replaced.
 
 The schoolbook product, the geometric step, the divisor sieve of
-lambert_diff and the index-weighted partition sums each do one C-level
-slice operation per sparse term, residue class or block, divisor or
-cofactor, or index j. The loops they replaced, one Python step per
-coefficient, are kept as the reference, below and, for the divisor sieve,
-as reference.nested_lambert_diff: every result must be equal, element for
-element. The running-quotient walker behind the q-series sums is checked
+lambert_diff, the index-weighted partition sums and invert's far terms each
+do one C-level slice operation per sparse term, residue class or block,
+divisor or cofactor, index j, or block and term. The loops they replaced,
+one Python step per coefficient, are kept as the reference, below and, for
+the divisor sieve and the inversion, as reference.nested_lambert_diff and
+reference.naive_invert: every result must be equal, element for element. The running-quotient walker behind the q-series sums is checked
 against the per-element division of the uncut list. The
 timing-free gates count p(n) reads at the benchmark's points, the product
 kernels and geometric steps of the triple product, the one inversion of
@@ -22,17 +22,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtrunc import cli, partitions, qseries, trunclab
-from qtrunc.partitions import gpn, p_euler
+from qtrunc.partitions import gpn, jacobi_cube, p_euler
 from qtrunc.qseries import (
+    IntSeries,
     _div_one_minus_list,
     _mul_lists,
     _quotients,
     _schoolbook_mul,
+    bilateral_theta,
     lambert_diff,
     triple_product,
 )
 from qtrunc.trunclab import corollary14_report, index_weighted_sums, recurrence_check
-from reference import nested_lambert_diff, record
+from reference import naive_invert, nested_lambert_diff, record
+
+BLOCK = qseries._INVERT_BLOCK
 
 
 def loop_schoolbook(sparse: list, dense: list, n: int) -> list:
@@ -192,6 +196,38 @@ def test_index_weighted_sums_match_per_n_walk_and_full_scan():
             assert sums[n] == full, (n, k)
 
 
+@pytest.mark.parametrize("order", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3000])
+def test_invert_matches_the_per_coefficient_loop_at_block_edges(order):
+    """invert's block slices against the loop they replaced, at the block
+    edges: the pentagonal sum, a bilateral theta sum, the Jacobi cube's
+    (2j+1) weights, whose terms all stay in the loop, and a sum with unit
+    terms at exactly degrees BLOCK - 1 (the last one in the per-coefficient
+    loop) and BLOCK (the first in a slice) and a weighted one past BLOCK,
+    each with constant term 1 and -1."""
+    edge = [1] + [0] * order
+    for d, c in ((1, -1), (BLOCK - 1, 1), (BLOCK, -1), (BLOCK + 1, 2), (2 * BLOCK + 5, 1)):
+        if d <= order:
+            edge[d] = c
+    sums = [bilateral_theta(3, 1, order).dense(), bilateral_theta(5, 2, order).dense(),
+            jacobi_cube(order).dense(), edge]
+    for a in sums:
+        for c0 in (1, -1):
+            signed = [c0] + a[1:]
+            assert IntSeries.from_dense(signed).invert().dense() == naive_invert(signed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(0, 2 * BLOCK + 3), c0=st.sampled_from([1, -1]),
+       terms=st.dictionaries(st.integers(1, 2 * BLOCK + 3),
+                             st.sampled_from([1, -1]) | st.integers(-2 ** 400, 2 ** 400),
+                             max_size=8))
+def test_invert_matches_the_per_coefficient_loop_on_wide_sparse_sums(order, c0, terms):
+    """Sparse sums whose terms mix unit weights, which take the slices past
+    BLOCK, and weights up to 2^400, which stay in the loop."""
+    a = [c0] + [terms.get(d, 0) for d in range(1, order + 1)]
+    assert IntSeries.from_dense(a).invert().dense() == naive_invert(a)
+
+
 def test_index_weighted_sums_rejects_negative_nmax():
     with pytest.raises(ValueError, match="nmax must be nonnegative"):
         index_weighted_sums(-1)
@@ -200,18 +236,23 @@ def test_index_weighted_sums_rejects_negative_nmax():
 def test_index_sums_read_each_partition_count_once(monkeypatch):
     """Timing-free gate: at the benchmark's points, corollary14_report and
     recurrence_check each read p(0..nmax) from the p(n) memo once, as one
-    table, and form one series product, the index-weighted theta sum times
-    that table, instead of one p(n) read and one slice update per (n, j)."""
+    table, and add it once per nonzero term of the index-weighted theta sum,
+    one slice update each and no series product, instead of one p(n) read
+    and one slice update per (n, j)."""
     reads = record(monkeypatch, partitions._p_table, "upto")
     products = record(monkeypatch, qseries, "_mul_lists")
-    runs = [(2000, lambda k=k: corollary14_report(k, 2000)) for k in range(1, 7)]
-    runs.append((1200, lambda: recurrence_check(1200)))
-    for nmax, run in runs:
+    passes = record(monkeypatch, trunclab, "_add_shifted")
+    runs = [(2000, k, lambda k=k: corollary14_report(k, 2000)) for k in range(1, 7)]
+    runs.append((1200, None, lambda: recurrence_check(1200)))
+    for nmax, k, run in runs:
+        trunclab._P_INDEX_CUT.clear()
         reads.clear()
-        products.clear()
+        passes.clear()
         assert run().passed, nmax
         assert reads == [(nmax,)]
-        assert len(products) == 1
+        js = range(-nmax - 1, nmax + 2) if k is None else range(-k, k)
+        assert len(passes) == sum(1 for j in js if j and gpn(j) <= nmax), (nmax, k)
+    assert products == []
 
 
 def euler_sum_steps(a: int, step: int, order: int) -> list:

@@ -17,6 +17,7 @@ from qtrunc.partitions import jacobi_cube
 from qtrunc.qseries import IntSeries, _theta_sum, bilateral_theta
 from qtrunc.trunclab import (
     TruncParams,
+    am_lhs,
     d_series,
     gz_series,
     i_series,
@@ -122,6 +123,7 @@ def test_bilateral_theta_matches_both_former_loops():
                 assert bilateral_theta(R, S, N, k) == want, (R, S, N, k)
 
 
+@pytest.mark.usefixtures("fresh_running_memos")
 def test_d_series_numerator_matches_former_loop(monkeypatch):
     # with a unit denominator and no divisor series, d_series is its numerator
     monkeypatch.setattr(trunclab, "_inv_triple", lambda R, S, N: IntSeries.one(N))
@@ -162,6 +164,7 @@ def test_i_series_matches_former_loop():
                         (idx, R, S, k, N)
 
 
+@pytest.mark.usefixtures("fresh_running_memos")
 def test_jacobi_cube_and_gz_numerator_match_former_loops(monkeypatch):
     for N in range(201):
         assert jacobi_cube(N) == oracle_jacobi_cube(N), N
@@ -205,3 +208,23 @@ def test_negative_truncation_depth_is_an_error():
         index_weighted_sums(10, -2)
     assert bilateral_theta(5, 2, 20, 0) == IntSeries.zero(20)
     assert index_weighted_sums(10, 0) == [0] * 11
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: TruncParams(5, 2, 2.5, 30), id="TruncParams-k-2.5"),
+    pytest.param(lambda: TruncParams(5, 2, True, 30), id="TruncParams-k-True"),
+    pytest.param(lambda: TruncParams(5.0, 2, 1, 30), id="TruncParams-R-5.0"),
+    pytest.param(lambda: TruncParams(5, 2, 1, 30.0), id="TruncParams-N-30.0"),
+    pytest.param(lambda: gz_series(2.5, 10), id="gz_series-2.5"),
+    pytest.param(lambda: gz_series(True, 10), id="gz_series-True"),
+    pytest.param(lambda: am_lhs(1.5, 10), id="am_lhs-1.5"),
+    pytest.param(lambda: index_weighted_sums(10, 1.5), id="index_weighted_sums-1.5"),
+    pytest.param(lambda: index_weighted_sums(10, False), id="index_weighted_sums-False"),
+    pytest.param(lambda: bilateral_theta(5, 2, 10, 2.0), id="bilateral_theta-2.0"),
+    pytest.param(lambda: _theta_sum(1, 0, 0, 10, True), id="_theta_sum-True"),
+])
+def test_fractional_or_bool_depth_is_an_error(call):
+    """A fractional or bool depth used to give a series, and a verdict:
+    conjecture_check at k = 2.5 reported FAIL over 2 * 2.5 = 5 terms."""
+    with pytest.raises(ValueError, match="must be an int"):
+        call()
