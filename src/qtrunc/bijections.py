@@ -21,7 +21,7 @@ from .partitions import (
     p_euler,
     set_a_size,
 )
-from .qseries import _require_positive
+from .qseries import _require_int, _require_positive
 from .report import CheckReport, _Record
 
 
@@ -38,6 +38,8 @@ class IndexedPartition(_Record):
         self.__post_init__()
 
     def __post_init__(self):
+        _require_int("j", self.j)
+        _require_int("n", self.n)
         _require_weight(self.lam.weight, self.j, self.n)
 
 
@@ -49,7 +51,7 @@ def _require_weight(weight: int, j: int, n: int) -> None:
 
 def _require_indexed(parts: tuple[int, ...], j: int, n: int) -> None:
     """Raise the ValueError that ``IndexedPartition(Partition(parts), j, n)``
-    raises, if any."""
+    raises for int parts, j and n, if any."""
     _require_partition(parts)
     _require_weight(sum(parts), j, n)
 
@@ -92,8 +94,7 @@ def phi(x: IndexedPartition) -> tuple[IndexedPartition, int]:
 
 
 def _psi(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """psi on a partition tuple, with the preconditions of ``psi``."""
-    _require_positive("k", k)
+    """psi on a partition tuple and a positive int k, with its rank precondition."""
     rank = _rank(parts)
     if rank > -3 * k:
         raise ValueError(f"rank {rank} violates the precondition rank <= {-3 * k}")
@@ -108,6 +109,7 @@ def psi(lam: Partition, k: int) -> Partition:
     weight lam.weight + 2k - 1 and rank > 3(k-1), landing in the
     complementary rank class one index over.
     """
+    _require_positive("k", k)
     return Partition(_psi(lam.parts, k))
 
 
@@ -239,10 +241,11 @@ def verify_psi(n: int, k: int) -> CheckReport:
     partition of weight n - gpn(k-1) with rank > 3(k-1), which is the
     class's definition, and ``target_size`` is its size from the rank table
     (``set_a_size``). Injectivity needs no target set either: two source
-    members are compared through their images alone, in ``seen``.
+    members are compared through their images alone, in ``seen``. A bad n
+    or k is a ValueError, never a violation.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _require_positive("n", n)
+    _require_positive("k", k)
     source = _rank_class(1, -k, n)
     for parts in source:
         _require_indexed(parts, -k, n)
@@ -285,8 +288,8 @@ def theorem12_check(n: int, k: int) -> CheckReport:
     The two sides are independent: p comes from the pentagonal recurrence,
     the class sizes from the Durfee-square rank table (``set_a_size``).
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _require_positive("n", n)
+    _require_positive("k", k)
     a2 = set_a_size(2, k - 1, n)
     a1_neg = set_a_size(1, -k, n)
     a1_k = set_a_size(1, k, n)

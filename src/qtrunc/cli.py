@@ -28,6 +28,7 @@ from .partitions import divisor_diff, jacobi_cube, m_k, set_a_size
 from .qseries import (
     IntSeries,
     _euler_cubed,
+    _require_nonnegative,
     _require_positive,
     _require_window,
     bilateral_theta,
@@ -103,8 +104,7 @@ def _window(require: Callable[[int, int], None]) -> Axis:
 
 def _order(g: dict) -> list[dict]:
     N = 100 if g["N"] is None else g["N"]
-    if N < 0:
-        raise ValueError(f"--N must be nonnegative, got {N}")
+    _require_nonnegative("--N", N)
     return [{"N": N}]
 
 
@@ -135,7 +135,7 @@ _ORDER = Axis(("N",), _order)
 
 def _coeff_rows(N: int, *series: IntSeries) -> list[tuple]:
     """One row per degree n <= N: n, then the coefficient of q^n in each series."""
-    return list(zip(range(N + 1), *(s.dense(N) for s in series)))
+    return list(zip(range(N + 1), *(s.dense() for s in series)))
 
 
 def _index_sum_rows(nmax: int, k: int | None = None) -> list[tuple]:

@@ -27,6 +27,8 @@ from operator import add, ge
 
 from .qseries import (
     IntSeries,
+    _require_int,
+    _require_nonnegative,
     _require_positive,
     _require_window,
     _theta_sum,
@@ -38,7 +40,7 @@ from .report import _Record
 class Partition(_Record):
     """A non-increasing tuple of positive integers; () is the partition of 0."""
 
-    __slots__ = ("parts", "_weight")
+    __slots__ = ("parts", "weight")
     _fields = ("parts",)
 
     def __init__(self, parts: tuple[int, ...] = ()):
@@ -48,20 +50,11 @@ class Partition(_Record):
     def __post_init__(self):
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
+        if not {*map(type, parts)} <= {int}:
+            for p in parts:
+                _require_int("parts", p)
         _require_partition(parts)
-        object.__setattr__(self, "_weight", sum(parts))
-
-    @property
-    def weight(self) -> int:
-        return self._weight
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
+        object.__setattr__(self, "weight", sum(parts))
 
     @property
     def rank(self) -> int:
@@ -74,7 +67,7 @@ class Partition(_Record):
 
 
 def _require_partition(parts: tuple[int, ...]) -> None:
-    """Raise the ValueError that ``Partition(parts)`` raises, if any."""
+    """Raise the ValueError that ``Partition(parts)`` raises for int parts, if any."""
     if parts and (parts[-1] < 1 or not all(map(ge, parts, parts[1:]))):
         for i, p in enumerate(parts):
             _require_positive("parts", p)
@@ -132,8 +125,7 @@ def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n, in lexicographically decreasing order of parts."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _require_nonnegative("n", n)
     return [Partition(t) for t in _partition_tuples(n)]
 
 
@@ -175,6 +167,7 @@ _p_table = _Grown(_pentagonal_counts)
 def p_euler(n: int) -> int:
     """p(n), read from the memoized inverse of the pentagonal sum; 0 for
     negative n."""
+    _require_int("n", n)
     return _p_table.upto(n)[n] if n >= 0 else 0
 
 
@@ -236,23 +229,28 @@ def _rank_class(variant: int, j: int, n: int) -> list[tuple[int, ...]]:
     return [parts for parts in _partition_tuples(m) if (parts[0] - len(parts) <= cut) == low]
 
 
+def _require_class(variant: int, j: int, n: int) -> None:
+    """Reject a variant other than 1 and 2, a non-int j, or a weight n below 1."""
+    _require_int("variant", variant)
+    if variant not in (1, 2):
+        raise ValueError(f"variant must be 1 or 2, got {variant}")
+    _require_int("j", j)
+    _require_positive("n", n)
+
+
 def set_a(variant: int, j: int, n: int) -> list[Partition]:
     """Partitions of n - gpn(j) filtered by rank: <= 3j (variant 1) or > 3j (2).
 
     Empty when the residual weight is negative; at residual weight 0 the
     empty partition appears and is classified by rank 0.
     """
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant}")
-    _require_positive("n", n)
+    _require_class(variant, j, n)
     return [Partition(parts) for parts in _rank_class(variant, j, n)]
 
 
 def set_a_size(variant: int, j: int, n: int) -> int:
     """|set_a(variant, j, n)| without materializing the partitions."""
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant}")
-    _require_positive("n", n)
+    _require_class(variant, j, n)
     m = n - gpn(j)
     if m < 0:
         return 0
@@ -266,8 +264,8 @@ def m_k(k: int, n: int) -> int:
     parts above k outnumber parts below k. Counted by direct filtering;
     this is the oracle side of the series identity it appears in.
     """
-    if k < 1 or n < 1:
-        raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    _require_positive("k", k)
+    _require_positive("n", n)
     counts = _m_k_counts(n)
     return counts[k] if k < len(counts) else 0
 

@@ -72,12 +72,13 @@ the Jacobi cube (weights 2j + 1) keeps the loop.
 
 _theta_terms yields the terms (-1)^j (u j + v) q^(R j(j+1)/2 + b j + c),
 j = 0, 1, ..., of a sparse theta-type sum, and _theta_sum, the one builder
-of those sums, cuts them to an order and a number of terms: the bilateral
-theta sum and its k-term cuts, mao's alternating sums, the I1-I4 blocks and
-the Jacobi cube. The k-truncated numerators of the sign suites, running
-sums in trunclab, read the same generator one k at a time. The pentagonal
-and jacobi-cube suites certify _theta_sum against the product expansions,
-so they compare Euler's distinct-parts sum with the bilateral theta sum.
+of those sums, cuts them, at v = 1, to an order and a number of terms: the
+bilateral theta sum and its k-term cuts, mao's alternating sums, the I1-I4
+blocks and the Jacobi cube. The k-truncated numerators of the sign suites,
+running sums in trunclab, read the same generator one k at a time. The
+pentagonal and jacobi-cube suites certify _theta_sum against the product
+expansions, so they compare Euler's distinct-parts sum with the bilateral
+theta sum.
 
 Coefficients must be of type int; bool is rejected too, since a bool
 coefficient is almost always a comparison result that leaked in. The public
@@ -137,18 +138,8 @@ class IntSeries:
         return series
 
     @classmethod
-    def from_dense(cls, dense: list[int], order: int | None = None) -> IntSeries:
-        if order is None:
-            order = len(dense) - 1
-        return cls({d: c for d, c in enumerate(dense)}, order)
-
-    @classmethod
     def one(cls, order: int) -> IntSeries:
         return cls({0: 1}, order)
-
-    @classmethod
-    def zero(cls, order: int) -> IntSeries:
-        return cls({}, order)
 
     @property
     def coeffs(self) -> dict[int, int]:
@@ -159,13 +150,9 @@ class IntSeries:
         """
         return {d: c for d, c in enumerate(self._dense) if c}
 
-    def dense(self, upto: int | None = None) -> list[int]:
-        """Coefficients of q^0..q^upto as a fresh list (upto defaults to order)."""
-        if upto is None:
-            upto = self.order
-        if upto > self.order:
-            raise ValueError(f"coefficients beyond order {self.order} are unknown")
-        return self._dense[:max(upto + 1, 0)]
+    def dense(self) -> list[int]:
+        """The coefficients of q^0..q^order as a fresh list."""
+        return list(self._dense)
 
     def coeff(self, n: int) -> int:
         """Exact coefficient of q^n. Beyond the order it is unknown, not zero."""
@@ -282,6 +269,7 @@ class IntSeries:
         order + e in both directions. A downward shift requires every
         coefficient below q^|e| to vanish.
         """
+        _require_int("shift", e)
         if e >= 0:
             return IntSeries._from_list([0] * e + self._dense, self.order + e)
         drop = -e
@@ -432,6 +420,8 @@ def _require_positive(name: str, value: int) -> None:
 
 def _require_window(R: int, S: int) -> None:
     """Reject (R, S) outside the window 1 <= S < R of the triple product."""
+    _require_int("R", R)
+    _require_int("S", S)
     if not 1 <= S < R:
         raise ValueError(f"need 1 <= S < R, got R={R}, S={S}")
 
@@ -486,8 +476,8 @@ def pochhammer(a: int, step: int, order: int) -> IntSeries:
     A factor whose exponent exceeds the order contributes nothing, so
     a > order gives the constant series 1.
     """
-    if a < 1 or step < 1:
-        raise ValueError(f"a and step must be positive, got a={a}, step={step}")
+    _require_positive("a", a)
+    _require_positive("step", step)
     _require_nonnegative("order", order)
     return IntSeries._from_list(_euler_sum(a, step, [1] + [0] * order), order)
 
@@ -530,9 +520,8 @@ def triple_product(R: int, S: int, order: int) -> IntSeries:
 
 def _theta_terms(R: int, b: int, c: int, u: int = 0, v: int = 1
                  ) -> Iterator[tuple[int, int]]:
-    """The terms j = 0, 1, ... of the theta-type sum of ``_theta_sum``,
-    without end, as (exponent, weight): R j(j+1)/2 + b j + c and
-    (-1)^j (u j + v)."""
+    """The terms j = 0, 1, ... of a theta-type sum, without end, as
+    (exponent, weight): R j(j+1)/2 + b j + c and (-1)^j (u j + v)."""
     j, e = 0, c
     while True:
         yield e, (u * j + v) * (1 if j % 2 == 0 else -1)
@@ -541,8 +530,8 @@ def _theta_terms(R: int, b: int, c: int, u: int = 0, v: int = 1
 
 
 def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,
-               u: int = 0, v: int = 1) -> IntSeries:
-    """Sum over 0 <= j < terms of (-1)^j (u j + v) q^(R j(j+1)/2 + b j + c),
+               u: int = 0) -> IntSeries:
+    """Sum over 0 <= j < terms of (-1)^j (u j + 1) q^(R j(j+1)/2 + b j + c),
     to the given order, over every j >= 0 when terms is None: the one
     builder of the sparse theta-type sums. terms = 0 is the empty sum; a
     negative or non-int terms is a ValueError.
@@ -557,7 +546,7 @@ def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,
     if terms is not None:
         _require_nonnegative("truncation depth", terms)
     dense = [0] * (order + 1)
-    for e, w in islice(_theta_terms(R, b, c, u, v), terms):
+    for e, w in islice(_theta_terms(R, b, c, u), terms):
         if e > order:
             break
         dense[e] = w

@@ -251,9 +251,11 @@ def mk_identity_check(k: int, nmax: int, nmin: int = 1) -> CheckReport:
     """Triangle consistency: the q^n coefficient extracted from am_lhs, the
     direct sieve count, and the rank-class cardinality difference must agree
     pairwise for nmin <= n <= nmax."""
-    if k < 1 or nmax < nmin or nmin < 1:
-        raise ValueError(f"need k >= 1 and 1 <= nmin <= nmax, got k={k}, "
-                         f"nmin={nmin}, nmax={nmax}")
+    _require_positive("k", k)
+    _require_positive("nmin", nmin)
+    _require_int("nmax", nmax)
+    if nmax < nmin:
+        raise ValueError(f"need nmin <= nmax, got nmin={nmin}, nmax={nmax}")
     report = CheckReport("mk-identity", {"k": k, "nmin": nmin, "nmax": nmax})
     series = am_lhs(k, nmax)
     sign = _sign(k - 1)
@@ -388,8 +390,8 @@ def corollary14_report(k: int, nmax: int) -> CheckReport:
     """Parity-directed comparison of the truncated index-weighted partition
     sum against the divisor difference d_{1,3}(n) - d_{2,3}(n): >= for odd k,
     <= for even k, over 1 <= n <= nmax."""
-    if k < 1 or nmax < 1:
-        raise ValueError(f"need k >= 1 and nmax >= 1, got k={k}, nmax={nmax}")
+    _require_positive("k", k)
+    _require_positive("nmax", nmax)
     direction = ">=" if k % 2 == 1 else "<="
     report = CheckReport("corollary14", {"k": k, "nmax": nmax, "direction": direction})
     _bounded(report, index_weighted_sums(nmax, k), 1, lambert_diff(3, 1, nmax).dense(),
@@ -442,6 +444,14 @@ def mao_check(P: TruncParams) -> CheckReport:
     return report
 
 
+def _require_block(idx: int, P: TruncParams) -> None:
+    """Reject a block index other than 1..4, or (R, S) outside the window."""
+    _require_int("idx", idx)
+    if idx not in (1, 2, 3, 4):
+        raise ValueError(f"idx must be 1..4, got {idx}")
+    _require_window(P.R, P.S)
+
+
 def i_series(idx: int, P: TruncParams) -> IntSeries:
     """The four alternating building-block sums of the decomposition.
 
@@ -449,9 +459,7 @@ def i_series(idx: int, P: TruncParams) -> IntSeries:
     linear coefficient to kR+S and the whole sum by S(2k+1); indices 3 and 4
     repeat 1 and 2 with an extra factor (j+1).
     """
-    if idx not in (1, 2, 3, 4):
-        raise ValueError(f"idx must be 1..4, got {idx}")
-    _require_window(P.R, P.S)
+    _require_block(idx, P)
     R, S, k, N = P.R, P.S, P.k, P.N
     plus = idx in (2, 4)
     linear = R * k + S if plus else R * k - S
@@ -489,9 +497,7 @@ def i_series_closed(idx: int, P: TruncParams) -> IntSeries:
     (computed at an extended internal order so no validity is lost); indices
     3 and 4 come out of the weighted double-sum expansion.
     """
-    if idx not in (1, 2, 3, 4):
-        raise ValueError(f"idx must be 1..4, got {idx}")
-    _require_window(P.R, P.S)
+    _require_block(idx, P)
     R, S, k, N = P.R, P.S, P.k, P.N
     if idx == 1:
         down = R * k - S
@@ -552,6 +558,8 @@ def gz_check(k: int, N: int) -> CheckReport:
 
 def _require_half_window(R: int, S: int) -> None:
     """Reject (R, S) outside wang-yee's window 1 <= S, 2S <= R."""
+    _require_int("R", R)
+    _require_int("S", S)
     if not (1 <= S and 2 * S <= R):
         raise ValueError(f"need 1 <= S <= R/2, got R={R}, S={S}")
 

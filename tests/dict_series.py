@@ -2,16 +2,15 @@
 
 IntSeries once stored its nonzero coefficients in a {degree: coefficient}
 dict and converted to and from lists around every kernel. The methods
-below are that class's bodies, unchanged apart from the class name and
-invert's loop, which is now the one copy in reference.naive_invert: the
-list-backed IntSeries must agree with them on every result, order and
-error message.
+below are that class's bodies, unchanged apart from the class name, the
+product and invert's loop, which are now the one copies in
+reference.naive_mul and reference.naive_invert: the list-backed IntSeries
+must agree with them on every result, order and error message.
 """
 
 from __future__ import annotations
 
-from qtrunc.qseries import _mul_lists
-from reference import naive_invert
+from reference import naive_invert, naive_mul
 
 
 class DictSeries:
@@ -44,21 +43,10 @@ class DictSeries:
     def _from_list(cls, dense: list[int], order: int) -> DictSeries:
         return cls._make({d: c for d, c in enumerate(dense) if c}, order)
 
-    @classmethod
-    def from_dense(cls, dense: list[int], order: int | None = None) -> DictSeries:
-        if order is None:
-            order = len(dense) - 1
-        return cls({d: c for d, c in enumerate(dense)}, order)
-
-    def dense(self, upto: int | None = None) -> list[int]:
-        if upto is None:
-            upto = self.order
-        if upto > self.order:
-            raise ValueError(f"coefficients beyond order {self.order} are unknown")
-        out = [0] * (upto + 1)
+    def dense(self) -> list[int]:
+        out = [0] * (self.order + 1)
         for d, c in self.coeffs.items():
-            if d <= upto:
-                out[d] = c
+            out[d] = c
         return out
 
     def coeff(self, n: int) -> int:
@@ -119,7 +107,7 @@ class DictSeries:
         if isinstance(other, int):
             return self.scale(other)
         n = min(self.order, other.order)
-        return DictSeries._from_list(_mul_lists(self.dense(n), other.dense(n), n), n)
+        return DictSeries._from_list(naive_mul(self.dense(), other.dense(), n), n)
 
     def invert(self) -> DictSeries:
         c0 = self.coeffs.get(0, 0)

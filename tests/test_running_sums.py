@@ -4,8 +4,11 @@ Every reader of a k-truncated quotient (conjecture_series, d_series,
 theorem13_series, am_lhs, gz_series, index_weighted_sums and wang-yee's
 left side) returns a signed copy of one running list that each request
 extends by the new terms only. The per-k route, the numerator cut at k
-times the reciprocal, is the oracle: the hypothesis test walks k up, down
-and in place, with changes of (R, S), N, reciprocal and kind in between.
+times the reciprocal, is the oracle. Its numerators are summed term by
+term from their exponents and its reciprocals inverted from the product
+expansions, so it takes no route of the running sums. The hypothesis test
+walks k up, down and in place, with changes of (R, S), N, reciprocal and
+kind in between.
 The timing-free gate counts the slice updates of a CLI sweep, and the
 concurrency tests compare threads and the process pool with a serial run.
 """
@@ -18,8 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtrunc import cli, qseries, trunclab
-from qtrunc.partitions import jacobi_cube
-from qtrunc.qseries import IntSeries, _theta_sum, bilateral_theta, lambert_diff
+from qtrunc.qseries import IntSeries, lambert_diff, pochhammer, triple_product
 from qtrunc.trunclab import (
     TruncParams,
     am_lhs,
@@ -37,27 +39,41 @@ def sign(j: int) -> int:
     return 1 if j % 2 == 0 else -1
 
 
-def index_numerator(R: int, S: int, N: int, k: int | None) -> IntSeries:
-    """The index-weighted theta sum over -k <= j < k of (-1)^j j
-    q^(R j(j+1)/2 - S j), every j when k is None, by its two tails."""
-    return _theta_sum(R, -S, 0, N, k, u=1, v=0) + _theta_sum(R, S, S, N, k, u=1)
+def theta_numerator(R: int, S: int, N: int, js, weight=lambda j: 1) -> IntSeries:
+    """The sum over j in js of (-1)^j weight(j) q^(R j(j+1)/2 - S j), to
+    order N, one term at a time from its exponent."""
+    coeffs = {}
+    for j in js:
+        e = R * j * (j + 1) // 2 - S * j
+        if e <= N:
+            coeffs[e] = coeffs.get(e, 0) + sign(j) * weight(j)
+    return IntSeries(coeffs, N)
+
+
+def cut(N: int, k: int | None) -> range:
+    """The j of a cut at depth k, -k <= j < k; for k None, a range that
+    holds every j whose exponent is at most N, which grows by at least
+    1 per step away from j = 0 for R > S >= 0."""
+    return range(-N - 1, N + 1) if k is None else range(-k, k)
 
 
 def per_k(kind: str, R: int, S: int, N: int, k: int | None) -> list:
     """What the reader of kind returns at (R, S, N, k), computed per k: the
-    numerator cut at k times a reciprocal inverted here."""
+    numerator cut at k times a reciprocal of the product expansion."""
     if kind == "gz":
-        numerator = _theta_sum(1, 0, 0, N, k + 1, u=2 * sign(k), v=sign(k))
-        return (numerator * jacobi_cube(N).invert()).dense()
+        numerator = theta_numerator(1, 0, N, range(k + 1), lambda j: 2 * j + 1)
+        euler = pochhammer(1, 1, N)
+        return (numerator.scale(sign(k)) * (euler * euler * euler).invert()).dense()
     if kind == "index":
-        return (index_numerator(3, 1, N, k) * bilateral_theta(3, 1, N).invert()).dense()
+        numerator = theta_numerator(3, 1, N, cut(N, k), lambda j: j)
+        return (numerator * pochhammer(1, 1, N).invert()).dense()
     if kind == "am":
         R, S = 3, 1
-    inverse = bilateral_theta(R, S, N).invert()
+    inverse = triple_product(R, S, N).invert()
     if kind in ("conjecture", "am"):
         signed = sign(k - 1) if kind == "conjecture" else 1
-        return (bilateral_theta(R, S, N, k).scale(signed) * inverse).dense()
-    d = index_numerator(R, S, N, k) * inverse - lambert_diff(R, S, N)
+        return (theta_numerator(R, S, N, cut(N, k)).scale(signed) * inverse).dense()
+    d = theta_numerator(R, S, N, cut(N, k), lambda j: j) * inverse - lambert_diff(R, S, N)
     return d.scale(sign(k - 1) if kind == "theorem13" else 1).dense()
 
 
@@ -112,7 +128,7 @@ def test_a_new_reciprocal_object_rebuilds(monkeypatch):
     not an extension of the list built with the first."""
     conjecture_series(TruncParams(5, 2, 2, 60))
     monkeypatch.setattr(trunclab, "_inv_triple", lambda R, S, N: IntSeries.one(N))
-    assert conjecture_series(TruncParams(5, 2, 3, 60)) == bilateral_theta(5, 2, 60, 3)
+    assert conjecture_series(TruncParams(5, 2, 3, 60)) == theta_numerator(5, 2, 60, cut(60, 3))
 
 
 @pytest.mark.usefixtures("fresh_running_memos")

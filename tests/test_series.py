@@ -36,11 +36,10 @@ wide_coeff_lists = st.lists(
 )
 
 
-def test_from_dense_roundtrip():
-    s = IntSeries.from_dense([1, 0, -2, 3])
-    assert s.order == 3
-    assert s.dense() == [1, 0, -2, 3]
-    assert s.coeffs == {0: 1, 2: -2, 3: 3}
+def series_of(xs: list) -> IntSeries:
+    """The series whose coefficients of q^0..q^(len(xs) - 1) are xs, by the
+    dict constructor, so the constructor's checks apply."""
+    return IntSeries(dict(enumerate(xs)), len(xs) - 1)
 
 
 def test_constructor_drops_zero_and_overflow_entries():
@@ -61,30 +60,28 @@ def test_constructors_reject_non_int_coefficients():
     with pytest.raises(ValueError):
         IntSeries({0: 1, 2: 0.5}, 4)
     with pytest.raises(ValueError):
-        IntSeries.from_dense([1, 0, 2.0])
+        series_of([1, 0, 2.0])
     # bool is an int subclass, but a bool coefficient is a leaked comparison
     with pytest.raises(ValueError):
         IntSeries({0: True}, 2)
     with pytest.raises(ValueError):
         IntSeries({1.0: 1}, 2)
     with pytest.raises(ValueError):
-        IntSeries.from_dense([1, 2]).scale(0.5)
+        series_of([1, 2]).scale(0.5)
 
 
 def test_coeff_beyond_order_raises():
-    s = IntSeries.from_dense([1, 2, 3])
+    s = series_of([1, 2, 3])
     assert s.coeff(2) == 3
     with pytest.raises(ValueError):
         s.coeff(3)
     with pytest.raises(ValueError):
         s.coeff(-1)
-    with pytest.raises(ValueError):
-        s.dense(upto=4)
 
 
 def test_add_sub_shrink_to_common_window():
-    a = IntSeries.from_dense([1, 1, 1, 1, 1])
-    b = IntSeries.from_dense([0, 2, 0])
+    a = series_of([1, 1, 1, 1, 1])
+    b = series_of([0, 2, 0])
     assert (a + b).order == 2
     assert (a + b).dense() == [1, 3, 1]
     assert (a - b).dense() == [1, -1, 1]
@@ -95,8 +92,8 @@ def test_add_sub_shrink_to_common_window():
 @settings(max_examples=200, deadline=None)
 def test_mul_matches_naive_convolution(xs, ys):
     order = min(len(xs), len(ys)) - 1
-    a = IntSeries.from_dense(xs)
-    b = IntSeries.from_dense(ys)
+    a = series_of(xs)
+    b = series_of(ys)
     assert (a * b).dense() == naive_mul(xs, ys, order)
     assert (a * b) == (b * a)
 
@@ -113,8 +110,8 @@ def test_kronecker_kernel_matches_naive_convolution(xs, ys):
     # the kernel alone, with operands of unequal length
     assert qseries._kronecker_mul(xs, ys, order) == expected
     # through __mul__, by the schoolbook pass
-    a = IntSeries.from_dense(xs)
-    b = IntSeries.from_dense(ys)
+    a = series_of(xs)
+    b = series_of(ys)
     assert (a * b).dense() == expected
     assert (a * b) == (b * a)
 
@@ -190,22 +187,22 @@ def test_products_take_the_kernel_of_their_call_site(monkeypatch, capsys):
 @given(coeff_lists, coeff_lists, coeff_lists)
 @settings(max_examples=100, deadline=None)
 def test_ring_laws(xs, ys, zs):
-    a = IntSeries.from_dense(xs)
-    b = IntSeries.from_dense(ys)
-    c = IntSeries.from_dense(zs)
+    a = series_of(xs)
+    b = series_of(ys)
+    c = series_of(zs)
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
 
 
 def test_int_multiplication_is_scaling():
-    s = IntSeries.from_dense([1, -2, 4])
+    s = series_of([1, -2, 4])
     assert (3 * s).dense() == [3, -6, 12]
     assert (s * 3) == (3 * s) == s.scale(3)
 
 
 def test_pow():
-    s = IntSeries.from_dense([1, 1, 0, 0])
+    s = series_of([1, 1, 0, 0])
     assert (s ** 0) == IntSeries.one(3)
     assert (s ** 3).dense() == [1, 3, 3, 1]
     with pytest.raises(ValueError):
@@ -216,15 +213,15 @@ def test_pow():
 @settings(max_examples=150, deadline=None)
 def test_invert_roundtrip(xs, unit):
     xs = [unit] + xs
-    s = IntSeries.from_dense(xs)
+    s = series_of(xs)
     assert (s * s.invert()) == IntSeries.one(s.order)
 
 
 def test_invert_requires_unit_constant():
     with pytest.raises(ValueError):
-        IntSeries.from_dense([2, 1]).invert()
+        series_of([2, 1]).invert()
     with pytest.raises(ValueError):
-        IntSeries.from_dense([0, 1]).invert()
+        series_of([0, 1]).invert()
 
 
 def test_inverse_euler_product_counts_partitions():
@@ -236,24 +233,24 @@ def test_inverse_euler_product_counts_partitions():
 @given(coeff_lists, st.integers(min_value=0, max_value=6))
 @settings(max_examples=150, deadline=None)
 def test_shift_roundtrip(xs, e):
-    s = IntSeries.from_dense(xs)
+    s = series_of(xs)
     up = s.shifted(e)
     assert up.order == s.order + e
     assert up.shifted(-e) == s
 
 
 def test_shift_down_requires_zero_low_coefficients():
-    s = IntSeries.from_dense([0, 0, 5, 1])
+    s = series_of([0, 0, 5, 1])
     assert s.shifted(-2).dense() == [5, 1]
     assert s.shifted(-2).order == 1
     with pytest.raises(ValueError):
         s.shifted(-3)
     with pytest.raises(ValueError):
-        IntSeries.from_dense([1]).shifted(-2)
+        series_of([1]).shifted(-2)
 
 
 def test_truncate_cannot_extend():
-    s = IntSeries.from_dense([1, 2, 3])
+    s = series_of([1, 2, 3])
     assert s.truncate(1).dense() == [1, 2]
     with pytest.raises(ValueError):
         s.truncate(4)
@@ -262,7 +259,7 @@ def test_truncate_cannot_extend():
 @given(coeff_lists, st.integers(min_value=1, max_value=5))
 @settings(max_examples=150, deadline=None)
 def test_one_minus_factor_roundtrip(xs, e):
-    s = IntSeries.from_dense(xs)
+    s = series_of(xs)
     assert s.times_one_minus(e).div_one_minus(e) == s
     assert s.div_one_minus(e).times_one_minus(e) == s
 
@@ -270,7 +267,7 @@ def test_one_minus_factor_roundtrip(xs, e):
 @given(coeff_lists, st.integers(min_value=1, max_value=5))
 @settings(max_examples=100, deadline=None)
 def test_times_one_minus_matches_naive(xs, e):
-    s = IntSeries.from_dense(xs)
+    s = series_of(xs)
     factor = [0] * (s.order + 1)
     factor[0] = 1
     if e <= s.order:
@@ -280,16 +277,16 @@ def test_times_one_minus_matches_naive(xs, e):
 
 def test_equality_and_hash():
     a = IntSeries({0: 1, 2: 3}, 4)
-    b = IntSeries.from_dense([1, 0, 3, 0, 0])
+    b = series_of([1, 0, 3, 0, 0])
     assert a == b and hash(a) == hash(b)
     assert a != IntSeries({0: 1, 2: 3}, 5)
     assert a != "not a series"
 
 
 def test_repr_mentions_leading_terms():
-    s = IntSeries.from_dense([1, -2])
+    s = series_of([1, -2])
     assert "+1q^0" in repr(s) and "-2q^1" in repr(s)
-    assert repr(IntSeries.zero(3)) == "IntSeries(0, order=3)"
+    assert repr(IntSeries({}, 3)) == "IntSeries(0, order=3)"
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4),

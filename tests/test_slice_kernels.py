@@ -213,7 +213,8 @@ def test_invert_matches_the_per_coefficient_loop_at_block_edges(order):
     for a in sums:
         for c0 in (1, -1):
             signed = [c0] + a[1:]
-            assert IntSeries.from_dense(signed).invert().dense() == naive_invert(signed)
+            series = IntSeries(dict(enumerate(signed)), order)
+            assert series.invert().dense() == naive_invert(signed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,7 +226,7 @@ def test_invert_matches_the_per_coefficient_loop_on_wide_sparse_sums(order, c0, 
     """Sparse sums whose terms mix unit weights, which take the slices past
     BLOCK, and weights up to 2^400, which stay in the loop."""
     a = [c0] + [terms.get(d, 0) for d in range(1, order + 1)]
-    assert IntSeries.from_dense(a).invert().dense() == naive_invert(a)
+    assert IntSeries(dict(enumerate(a)), order).invert().dense() == naive_invert(a)
 
 
 def test_index_weighted_sums_rejects_negative_nmax():

@@ -13,8 +13,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtrunc import trunclab
-from qtrunc.partitions import jacobi_cube
-from qtrunc.qseries import IntSeries, _theta_sum, bilateral_theta
+from qtrunc.bijections import IndexedPartition, theorem12_check, verify_psi
+from qtrunc.partitions import (
+    Partition,
+    divisor_diff,
+    enumerate_partitions,
+    jacobi_cube,
+    m_k,
+    p_euler,
+    set_a,
+    set_a_size,
+)
+from qtrunc.qseries import IntSeries, _theta_sum, bilateral_theta, lambert_diff, pochhammer
 from qtrunc.trunclab import (
     TruncParams,
     am_lhs,
@@ -23,6 +33,9 @@ from qtrunc.trunclab import (
     i_series,
     index_weighted_sums,
     mao_check,
+    mk_identity_check,
+    pentagonal_check,
+    wang_yee_check,
 )
 
 ORDERS = range(61)
@@ -127,7 +140,7 @@ def test_bilateral_theta_matches_both_former_loops():
 def test_d_series_numerator_matches_former_loop(monkeypatch):
     # with a unit denominator and no divisor series, d_series is its numerator
     monkeypatch.setattr(trunclab, "_inv_triple", lambda R, S, N: IntSeries.one(N))
-    monkeypatch.setattr(trunclab, "lambert_diff", lambda R, S, N: IntSeries.zero(N))
+    monkeypatch.setattr(trunclab, "lambert_diff", lambda R, S, N: IntSeries({}, N))
     for R, S in WINDOW:
         for N in ORDERS:
             for k in range(1, 7):
@@ -178,16 +191,16 @@ def test_jacobi_cube_and_gz_numerator_match_former_loops(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(R=st.integers(0, 9), b=st.integers(-9, 12), c=st.integers(0, 30),
        order=st.integers(0, 120), terms=st.none() | st.integers(0, 15),
-       u=st.integers(-3, 3), v=st.integers(-3, 3))
-def test_theta_sum_matches_brute_force(R, b, c, order, terms, u, v):
+       u=st.integers(-3, 3))
+def test_theta_sum_matches_brute_force(R, b, c, order, terms, u):
     assume(R + b >= 1)
     # the exponent grows by at least 1 per step, so j <= order covers it
     coeffs = {}
     for j in range(order + 1 if terms is None else min(terms, order + 1)):
         e = R * j * (j + 1) // 2 + b * j + c
         if e <= order:
-            coeffs[e] = coeffs.get(e, 0) + _sign(j) * (u * j + v)
-    assert _theta_sum(R, b, c, order, terms, u, v) == IntSeries(coeffs, order)
+            coeffs[e] = coeffs.get(e, 0) + _sign(j) * (u * j + 1)
+    assert _theta_sum(R, b, c, order, terms, u) == IntSeries(coeffs, order)
 
 
 def test_theta_sum_rejects_nonincreasing_or_negative_exponents():
@@ -206,7 +219,7 @@ def test_negative_truncation_depth_is_an_error():
         bilateral_theta(5, 2, 20, -3)
     with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
         index_weighted_sums(10, -2)
-    assert bilateral_theta(5, 2, 20, 0) == IntSeries.zero(20)
+    assert bilateral_theta(5, 2, 20, 0) == IntSeries({}, 20)
     assert index_weighted_sums(10, 0) == [0] * 11
 
 
@@ -222,9 +235,34 @@ def test_negative_truncation_depth_is_an_error():
     pytest.param(lambda: index_weighted_sums(10, False), id="index_weighted_sums-False"),
     pytest.param(lambda: bilateral_theta(5, 2, 10, 2.0), id="bilateral_theta-2.0"),
     pytest.param(lambda: _theta_sum(1, 0, 0, 10, True), id="_theta_sum-True"),
+    pytest.param(lambda: theorem12_check(5, True), id="theorem12_check-k-True"),
+    pytest.param(lambda: theorem12_check(5, 2.0), id="theorem12_check-k-2.0"),
+    pytest.param(lambda: mk_identity_check(1, 5, True), id="mk_identity_check-nmin-True"),
+    pytest.param(lambda: verify_psi(5, True), id="verify_psi-k-True"),
+    pytest.param(lambda: verify_psi(5.0, 1), id="verify_psi-n-5.0"),
+    pytest.param(lambda: m_k(1, True), id="m_k-n-True"),
+    pytest.param(lambda: set_a_size(True, 0, 5), id="set_a_size-variant-True"),
+    pytest.param(lambda: set_a(1, True, 5), id="set_a-j-True"),
+    pytest.param(lambda: pochhammer(True, 1, 5), id="pochhammer-a-True"),
+    pytest.param(lambda: i_series(True, TruncParams(5, 2, 1, 10)), id="i_series-idx-True"),
+    pytest.param(lambda: IntSeries({0: 1}, 5).shifted(True), id="shifted-True"),
+    pytest.param(lambda: enumerate_partitions(True), id="enumerate_partitions-True"),
+    pytest.param(lambda: p_euler(True), id="p_euler-True"),
+    pytest.param(lambda: Partition((2.5, 1)), id="Partition-2.5"),
+    pytest.param(lambda: Partition((True,)), id="Partition-True"),
+    pytest.param(lambda: IndexedPartition(Partition((2, 1)), True, 5),
+                 id="IndexedPartition-j-True"),
+    pytest.param(lambda: IndexedPartition(Partition((2, 1)), 0, 3.0), id="IndexedPartition-n-3.0"),
+    pytest.param(lambda: bilateral_theta(5.0, 2, 10), id="bilateral_theta-R-5.0"),
+    pytest.param(lambda: lambert_diff(5, 2.0, 10), id="lambert_diff-S-2.0"),
+    pytest.param(lambda: pentagonal_check(5.0, 2, 10), id="pentagonal_check-R-5.0"),
+    pytest.param(lambda: wang_yee_check(4.0, 2, 1, 10), id="wang_yee_check-R-4.0"),
+    pytest.param(lambda: divisor_diff(10, 3.0, 1), id="divisor_diff-R-3.0"),
 ])
 def test_fractional_or_bool_depth_is_an_error(call):
     """A fractional or bool depth used to give a series, and a verdict:
-    conjecture_check at k = 2.5 reported FAIL over 2 * 2.5 = 5 terms."""
+    conjecture_check at k = 2.5 reported FAIL over 2 * 2.5 = 5 terms. So
+    did a bool or float in any other int parameter, or a TypeError came
+    instead of the ValueError of a bad parameter."""
     with pytest.raises(ValueError, match="must be an int"):
         call()

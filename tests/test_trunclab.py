@@ -134,14 +134,14 @@ def test_q_binomial_counts_box_partitions():
             for m in range(k * (n - k) + 1):
                 fits = sum(
                     1 for lam in enumerate_partitions(m)
-                    if lam.num_parts <= k and lam.largest <= n - k
+                    if len(lam.parts) <= k and max(lam.parts, default=0) <= n - k
                 )
                 assert series.coeff(m) == fits, (n, k, m)
 
 
 def test_q_binomial_frozen_values():
     assert q_binomial(4, 2).dense() == [1, 1, 2, 1, 1]
-    assert q_binomial(2, 5) == q_binomial(2, 5).zero(0)
+    assert q_binomial(2, 5) == IntSeries({}, 0)
     assert q_binomial(5, 0).dense() == [1]
 
 
