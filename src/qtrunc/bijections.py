@@ -21,7 +21,7 @@ from .partitions import (
     p_euler,
     set_a_size,
 )
-from .qseries import _require_int, _require_positive
+from .qseries import _require_int, _require_positive, _sign
 from .report import CheckReport, _Record
 
 
@@ -293,10 +293,8 @@ def theorem12_check(n: int, k: int) -> CheckReport:
     a2 = set_a_size(2, k - 1, n)
     a1_neg = set_a_size(1, -k, n)
     a1_k = set_a_size(1, k, n)
-    sign = 1 if (k - 1) % 2 == 0 else -1
-    alt = sign * sum(
-        (1 if j % 2 == 0 else -1)
-        * (p_euler(n - gpn(j)) - p_euler(n - gpn(-j - 1)))
+    alt = _sign(k - 1) * sum(
+        _sign(j) * (p_euler(n - gpn(j)) - p_euler(n - gpn(-j - 1)))
         for j in range(k)
     )
     report = CheckReport(

@@ -173,6 +173,8 @@ def p_euler(n: int) -> int:
 
 def gpn(j: int) -> int:
     """Generalized pentagonal number j(3j+1)/2, defined for all integers j."""
+    if type(j) is not int:  # inline: the verifiers call gpn per element
+        _require_int("j", j)
     return j * (3 * j + 1) // 2
 
 

@@ -72,13 +72,12 @@ the Jacobi cube (weights 2j + 1) keeps the loop.
 
 _theta_terms yields the terms (-1)^j (u j + v) q^(R j(j+1)/2 + b j + c),
 j = 0, 1, ..., of a sparse theta-type sum, and _theta_sum, the one builder
-of those sums, cuts them, at v = 1, to an order and a number of terms: the
-bilateral theta sum and its k-term cuts, mao's alternating sums, the I1-I4
-blocks and the Jacobi cube. The k-truncated numerators of the sign suites,
-running sums in trunclab, read the same generator one k at a time. The
-pentagonal and jacobi-cube suites certify _theta_sum against the product
-expansions, so they compare Euler's distinct-parts sum with the bilateral
-theta sum.
+of the whole sums, cuts them, at v = 1, at an order: the bilateral theta
+sum, mao's alternating sums, the I1-I4 blocks and the Jacobi cube. The
+k-truncated numerators of the sign suites, running sums in trunclab, read
+the same generator one k at a time. The pentagonal and jacobi-cube suites
+certify _theta_sum against the product expansions, so they compare Euler's
+distinct-parts sum with the bilateral theta sum.
 
 Coefficients must be of type int; bool is rejected too, since a bool
 coefficient is almost always a comparison result that leaked in. The public
@@ -90,7 +89,7 @@ its list, so arithmetic pays nothing for the check.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, compress, count, repeat
 from math import isqrt
 from operator import add, mul, sub
 
@@ -518,23 +517,25 @@ def triple_product(R: int, S: int, order: int) -> IntSeries:
     return IntSeries._from_list(dense, order)
 
 
+def _sign(j: int) -> int:
+    """(-1)^j."""
+    return 1 if j % 2 == 0 else -1
+
+
 def _theta_terms(R: int, b: int, c: int, u: int = 0, v: int = 1
                  ) -> Iterator[tuple[int, int]]:
     """The terms j = 0, 1, ... of a theta-type sum, without end, as
     (exponent, weight): R j(j+1)/2 + b j + c and (-1)^j (u j + v)."""
     j, e = 0, c
     while True:
-        yield e, (u * j + v) * (1 if j % 2 == 0 else -1)
+        yield e, (u * j + v) * _sign(j)
         j += 1
         e += R * j + b
 
 
-def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,
-               u: int = 0) -> IntSeries:
-    """Sum over 0 <= j < terms of (-1)^j (u j + 1) q^(R j(j+1)/2 + b j + c),
-    to the given order, over every j >= 0 when terms is None: the one
-    builder of the sparse theta-type sums. terms = 0 is the empty sum; a
-    negative or non-int terms is a ValueError.
+def _theta_sum(R: int, b: int, c: int, order: int, u: int = 0) -> IntSeries:
+    """Sum over j >= 0 of (-1)^j (u j + 1) q^(R j(j+1)/2 + b j + c), to the
+    given order: the one builder of the sparse theta-type sums.
 
     The exponent grows by R(j+1) + b >= 1 from j to j + 1, which R >= 0 and
     R + b >= 1 guarantee, so the walk stops at the first exponent past the
@@ -543,27 +544,23 @@ def _theta_sum(R: int, b: int, c: int, order: int, terms: int | None = None,
     if R < 0 or R + b < 1 or c < 0:
         raise ValueError(f"need R >= 0, R + b >= 1 and c >= 0, got R={R}, b={b}, c={c}")
     _require_nonnegative("order", order)
-    if terms is not None:
-        _require_nonnegative("truncation depth", terms)
     dense = [0] * (order + 1)
-    for e, w in islice(_theta_terms(R, b, c, u), terms):
+    for e, w in _theta_terms(R, b, c, u):
         if e > order:
             break
         dense[e] = w
     return IntSeries._from_list(dense, order)
 
 
-def bilateral_theta(R: int, S: int, order: int, k: int | None = None) -> IntSeries:
-    """Sum of (-1)^j q^(R*j(j+1)/2 - S*j) over all integers j, or over
-    -k <= j < k when k is given (k = 0 is the empty sum; a negative k is a
-    ValueError).
+def bilateral_theta(R: int, S: int, order: int) -> IntSeries:
+    """Sum of (-1)^j q^(R*j(j+1)/2 - S*j) over all integers j.
 
     The constraint 1 <= S < R keeps every exponent nonnegative. The tail
     j = -(i+1) has exponent R i(i+1)/2 + S i + S and sign -(-1)^i. Exponents
     from the two tails may coincide (R = 2S); contributions accumulate.
     """
     _require_window(R, S)
-    return _theta_sum(R, -S, 0, order, k) - _theta_sum(R, S, S, order, k)
+    return _theta_sum(R, -S, 0, order) - _theta_sum(R, S, S, order)
 
 
 def lambert_diff(R: int, S: int, order: int) -> IntSeries:

@@ -39,6 +39,7 @@ from .qseries import (
     _require_nonnegative,
     _require_positive,
     _require_window,
+    _sign,
     _theta_sum,
     _theta_terms,
     _times_one_minus_list,
@@ -51,21 +52,17 @@ from .report import CheckReport, _Record
 
 
 class TruncParams(_Record):
-    """Parameter tuple (R, S, truncation depth k, series order N)."""
+    """Parameter tuple (R, S, truncation depth k, series order N), in the
+    window 1 <= S < R of the triple product, with k >= 1 and N >= 0: the
+    one check of the window for every function that takes a TruncParams."""
 
     __slots__ = _fields = ("R", "S", "k", "N")
 
     def __init__(self, R: int, S: int, k: int, N: int):
-        for name, value in (("R", R), ("S", S), ("k", k)):
-            _require_int(name, value)
-        if R < 1 or S < 1 or k < 1:
-            raise ValueError(f"R, S, k must be positive, got R={R}, S={S}, k={k}")
+        _require_window(R, S)
+        _require_positive("k", k)
         _require_nonnegative("N", N)
         self._set(R, S, k, N)
-
-
-def _sign(j: int) -> int:
-    return 1 if j % 2 == 0 else -1
 
 
 @lru_cache(maxsize=1)
@@ -325,7 +322,6 @@ def conjecture_series(P: TruncParams) -> IntSeries:
     The sign (-1)^(k-1) is applied as the copy is made, so nonnegativity
     of the coefficients from q^1 on is the literal claim under test.
     """
-    _require_window(P.R, P.S)
     return _theta_quotient(P.R, P.S, P.N, P.k, _sign(P.k - 1))
 
 
@@ -342,7 +338,6 @@ def conjecture_check(P: TruncParams) -> CheckReport:
 def _signed_d(P: TruncParams, sign: int) -> IntSeries:
     """sign times d_series: the running index-weighted cut, which starts
     at -lambert_diff(R, S, N)."""
-    _require_window(P.R, P.S)
     R, S, k, N = P.R, P.S, P.k, P.N
     dense = _INDEX_CUT.read(_index_tails(R, S), N, _inv_triple(R, S, N)._dense, k, sign,
                             lambda: lambert_diff(R, S, N).scale(-1)._dense)
@@ -433,8 +428,6 @@ def mao_check(P: TruncParams) -> CheckReport:
     """1 minus each product-sum series (base exponents R*k -+ S) must equal
     the corresponding alternating theta-type sum, exactly to order N."""
     R, S, k, N = P.R, P.S, P.k, P.N
-    if R * k - S < 1:
-        raise ValueError(f"need R*k - S >= 1, got {R * k - S}")
     report = CheckReport("mao", {"R": R, "S": S, "k": k, "N": N})
     for label, A in (("base R*k-S", R * k - S), ("base R*k+S", R * k + S)):
         lhs = IntSeries.one(N) - _product_sum_f(R, A, N)
@@ -444,12 +437,11 @@ def mao_check(P: TruncParams) -> CheckReport:
     return report
 
 
-def _require_block(idx: int, P: TruncParams) -> None:
-    """Reject a block index other than 1..4, or (R, S) outside the window."""
+def _require_block(idx: int) -> None:
+    """Reject a block index other than 1..4."""
     _require_int("idx", idx)
     if idx not in (1, 2, 3, 4):
         raise ValueError(f"idx must be 1..4, got {idx}")
-    _require_window(P.R, P.S)
 
 
 def i_series(idx: int, P: TruncParams) -> IntSeries:
@@ -459,7 +451,7 @@ def i_series(idx: int, P: TruncParams) -> IntSeries:
     linear coefficient to kR+S and the whole sum by S(2k+1); indices 3 and 4
     repeat 1 and 2 with an extra factor (j+1).
     """
-    _require_block(idx, P)
+    _require_block(idx)
     R, S, k, N = P.R, P.S, P.k, P.N
     plus = idx in (2, 4)
     linear = R * k + S if plus else R * k - S
@@ -497,7 +489,7 @@ def i_series_closed(idx: int, P: TruncParams) -> IntSeries:
     (computed at an extended internal order so no validity is lost); indices
     3 and 4 come out of the weighted double-sum expansion.
     """
-    _require_block(idx, P)
+    _require_block(idx)
     R, S, k, N = P.R, P.S, P.k, P.N
     if idx == 1:
         down = R * k - S
@@ -518,7 +510,6 @@ def decomposition_check(P: TruncParams) -> CheckReport:
     shifted combination (k-1)I1 + kI2 + I3 + I4, exactly to order N; each
     I divided by the triple product must be coefficientwise nonnegative.
     """
-    _require_window(P.R, P.S)
     R, S, k, N = P.R, P.S, P.k, P.N
     report = CheckReport("decomposition", {"R": R, "S": S, "k": k, "N": N})
     # R k^2 + (R - 2S) k = R k(k+1) - 2S k is even for every integer k

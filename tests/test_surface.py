@@ -8,7 +8,10 @@ class, needs one of three things:
   a whole string constant, since the CLI registry names its checks by
   string. A member counts only as an Attribute: a bare name, such as a
   local ``zero``, is not a read of ``IntSeries.zero``;
-- a word of a README code span or code block;
+- a use in README's examples: a Name or an Attribute of a fenced python
+  block, read from its syntax tree (so a comment or an import list is not
+  a use), or a word of another code block outside its ``#`` comments, or
+  of a code span;
 - an entry in ``JUSTIFIED``, with a one-line reason.
 
 The names with neither a reference nor a README mention must be exactly
@@ -74,10 +77,21 @@ def package_references() -> tuple[set[str], set[str]]:
 
 
 def readme_words() -> set[str]:
-    """Every identifier-like word of README's code blocks and code spans."""
+    """The Names and Attributes of README's fenced python blocks, and every
+    identifier-like word of its other code blocks, without their # comments,
+    and of its code spans."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    spans = re.findall(r"```.*?```|`[^`]+`", text, re.S)
-    return {word for span in spans for word in re.findall(r"\w+", span)}
+    words = set()
+    for lang, block, span in re.findall(r"```(\w*)\n(.*?)```|`([^`]+)`", text, re.S):
+        if lang == "python":
+            for node in ast.walk(ast.parse(block)):
+                if isinstance(node, ast.Name):
+                    words.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    words.add(node.attr)
+        else:
+            words.update(re.findall(r"\w+", span or re.sub(r"#.*", "", block)))
+    return words
 
 
 def traced_members() -> set[str]:

@@ -1,11 +1,11 @@
-"""The one sparse theta-sum builder against the seven loops it replaced.
+"""The one sparse theta-sum builder against the six loops it replaced.
 
 Each oracle below is a former hand-written quadratic-exponent loop, kept
-verbatim in substance: bilateral_theta, its k-term cut, d_series' weighted
-numerator, mao's alternating sum, the I1-I4 blocks, the Jacobi cube and the
-gz numerator. Every route through ``_theta_sum`` is compared with its
-oracle on R <= 8, every 1 <= S < R, k in 0..6 or uncut, and N in 0..60.
-That grid includes R = 2S, where the two tails' exponents collide.
+verbatim in substance: bilateral_theta, d_series' weighted numerator, mao's
+alternating sum, the I1-I4 blocks, the Jacobi cube and the gz numerator.
+Every route through ``_theta_sum`` is compared with its oracle on R <= 8,
+every 1 <= S < R, k in 1..6 and N in 0..60. That grid includes R = 2S,
+where the two tails' exponents collide.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from qtrunc.partitions import (
     Partition,
     divisor_diff,
     enumerate_partitions,
+    gpn,
     jacobi_cube,
     m_k,
     p_euler,
@@ -39,7 +40,6 @@ from qtrunc.trunclab import (
 )
 
 ORDERS = range(61)
-KS = list(range(7)) + [None]
 WINDOW = [(R, S) for R in range(2, 9) for S in range(1, R)]
 
 
@@ -57,16 +57,6 @@ def oracle_bilateral_theta(R, S, order):
             coeffs[e] = coeffs.get(e, 0) + _sign(j)
             j += step
     return IntSeries(coeffs, order)
-
-
-def oracle_theta_numerator(R, S, k, N):
-    coeffs = {}
-    for j in range(k):
-        e = R * j * (j + 1) // 2 - S * j
-        for exp, c in ((e, _sign(j)), (e + (2 * j + 1) * S, -_sign(j))):
-            if exp <= N:
-                coeffs[exp] = coeffs.get(exp, 0) + c
-    return IntSeries(coeffs, N)
 
 
 def oracle_d_numerator(R, S, k, N):
@@ -127,13 +117,10 @@ def oracle_gz_numerator(k, N):
     return IntSeries(coeffs, N)
 
 
-def test_bilateral_theta_matches_both_former_loops():
+def test_bilateral_theta_matches_former_loop():
     for R, S in WINDOW:
         for N in ORDERS:
-            for k in KS:
-                want = (oracle_bilateral_theta(R, S, N) if k is None
-                        else oracle_theta_numerator(R, S, k, N))
-                assert bilateral_theta(R, S, N, k) == want, (R, S, N, k)
+            assert bilateral_theta(R, S, N) == oracle_bilateral_theta(R, S, N), (R, S, N)
 
 
 @pytest.mark.usefixtures("fresh_running_memos")
@@ -190,17 +177,16 @@ def test_jacobi_cube_and_gz_numerator_match_former_loops(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(R=st.integers(0, 9), b=st.integers(-9, 12), c=st.integers(0, 30),
-       order=st.integers(0, 120), terms=st.none() | st.integers(0, 15),
-       u=st.integers(-3, 3))
-def test_theta_sum_matches_brute_force(R, b, c, order, terms, u):
+       order=st.integers(0, 120), u=st.integers(-3, 3))
+def test_theta_sum_matches_brute_force(R, b, c, order, u):
     assume(R + b >= 1)
     # the exponent grows by at least 1 per step, so j <= order covers it
     coeffs = {}
-    for j in range(order + 1 if terms is None else min(terms, order + 1)):
+    for j in range(order + 1):
         e = R * j * (j + 1) // 2 + b * j + c
         if e <= order:
             coeffs[e] = coeffs.get(e, 0) + _sign(j) * (u * j + 1)
-    assert _theta_sum(R, b, c, order, terms, u) == IntSeries(coeffs, order)
+    assert _theta_sum(R, b, c, order, u) == IntSeries(coeffs, order)
 
 
 def test_theta_sum_rejects_nonincreasing_or_negative_exponents():
@@ -216,10 +202,7 @@ def test_negative_truncation_depth_is_an_error():
     """A negative depth used to be read as the empty sum, a zero series;
     depth 0 is still the empty sum."""
     with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
-        bilateral_theta(5, 2, 20, -3)
-    with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
         index_weighted_sums(10, -2)
-    assert bilateral_theta(5, 2, 20, 0) == IntSeries({}, 20)
     assert index_weighted_sums(10, 0) == [0] * 11
 
 
@@ -233,8 +216,6 @@ def test_negative_truncation_depth_is_an_error():
     pytest.param(lambda: am_lhs(1.5, 10), id="am_lhs-1.5"),
     pytest.param(lambda: index_weighted_sums(10, 1.5), id="index_weighted_sums-1.5"),
     pytest.param(lambda: index_weighted_sums(10, False), id="index_weighted_sums-False"),
-    pytest.param(lambda: bilateral_theta(5, 2, 10, 2.0), id="bilateral_theta-2.0"),
-    pytest.param(lambda: _theta_sum(1, 0, 0, 10, True), id="_theta_sum-True"),
     pytest.param(lambda: theorem12_check(5, True), id="theorem12_check-k-True"),
     pytest.param(lambda: theorem12_check(5, 2.0), id="theorem12_check-k-2.0"),
     pytest.param(lambda: mk_identity_check(1, 5, True), id="mk_identity_check-nmin-True"),
@@ -258,6 +239,8 @@ def test_negative_truncation_depth_is_an_error():
     pytest.param(lambda: pentagonal_check(5.0, 2, 10), id="pentagonal_check-R-5.0"),
     pytest.param(lambda: wang_yee_check(4.0, 2, 1, 10), id="wang_yee_check-R-4.0"),
     pytest.param(lambda: divisor_diff(10, 3.0, 1), id="divisor_diff-R-3.0"),
+    pytest.param(lambda: gpn(True), id="gpn-True"),
+    pytest.param(lambda: gpn(3.0), id="gpn-3.0"),
 ])
 def test_fractional_or_bool_depth_is_an_error(call):
     """A fractional or bool depth used to give a series, and a verdict:

@@ -40,7 +40,7 @@ from qtrunc import (
     theorem13_series,
     wang_yee_check,
 )
-from qtrunc.qseries import IntSeries, bilateral_theta, pochhammer
+from qtrunc.qseries import IntSeries, pochhammer
 from qtrunc.trunclab import (
     _bounded,
     _mao_double_sum,
@@ -125,6 +125,10 @@ def test_trunc_params_validation():
         TruncParams(3, 1, 0, 10)
     with pytest.raises(ValueError):
         TruncParams(3, 1, 1, -1)
+    # S past R, and S = R: outside the window of the triple product
+    for params in ((5, 7, 2, 40), (3, 3, 1, 10)):
+        with pytest.raises(ValueError, match="need 1 <= S < R"):
+            TruncParams(*params)
 
 
 def test_q_binomial_counts_box_partitions():
@@ -185,13 +189,6 @@ def test_am_lhs_matches_pentagonal_sum_over_euler_product():
                 if e <= N:
                     coeffs[e] = coeffs.get(e, 0) + c
         assert am_lhs(k, N) == IntSeries(coeffs, N) * inv_euler, k
-
-
-def test_theta_numerator_is_the_bilateral_theta_cut():
-    # once every term up to the order is in, the cut sum is the whole sum
-    for R, S in [(3, 1), (2, 1), (5, 2), (5, 4), (7, 3)]:
-        assert bilateral_theta(R, S, 60, 12) == bilateral_theta(R, S, 60), (R, S)
-    assert bilateral_theta(3, 1, 20, 2).dense() == [1, -1, -1, 0, 0, 1] + [0] * 15
 
 
 def test_negative_coeffs_reports_first_offender():
@@ -346,7 +343,9 @@ def test_mao_check_grid():
 
 
 def test_mao_check_rejects_nonpositive_base():
-    with pytest.raises(ValueError):
+    # the base R*k - S is -2; the window 1 <= S < R, which TruncParams
+    # checks, keeps every base R*k - S >= R - S >= 1
+    with pytest.raises(ValueError, match="need 1 <= S < R"):
         mao_check(TruncParams(3, 5, 1, 20))
 
 

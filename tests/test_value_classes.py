@@ -93,8 +93,7 @@ def test_validation_messages():
     with pytest.raises(ValueError,
                        match=r"^weight 4 does not match n - gpn\(j\) = 5$"):
         IndexedPartition(Partition((3, 1)), 0, 5)
-    with pytest.raises(ValueError,
-                       match=r"^R, S, k must be positive, got R=0, S=1, k=2$"):
+    with pytest.raises(ValueError, match=r"^need 1 <= S < R, got R=0, S=1$"):
         TruncParams(0, 1, 2, 10)
     with pytest.raises(ValueError, match=r"^N must be nonnegative, got -1$"):
         TruncParams(3, 1, 2, -1)
@@ -118,7 +117,7 @@ def test_equality_and_hashing():
     assert Violation(1, 2, 3) != Violation(1, 2, 4)
     assert Partition((1,)) != (1,) and (1,) != Partition((1,))
     assert Partition((1,)).__eq__(((1,),)) is NotImplemented
-    assert TruncParams(1, 1, 1, 1) != (1, 1, 1, 1)
+    assert TruncParams(2, 1, 1, 1) != (2, 1, 1, 1)
     assert Violation(1, 2, 3) != (1, 2, 3)
     assert CheckReport("gz", {}) != ("gz", {}, [])
     lam = Partition((2,))
