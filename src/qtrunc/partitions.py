@@ -6,8 +6,8 @@ pentagonal inequalities, the sieve count M_k(n), and divisor-class counts.
 
 p(0..M) is the inverse of the pentagonal sum (q; q)_inf, the bilateral
 theta sum at (R, S) = (3, 1); ``IntSeries.invert`` runs Euler's recurrence
-over its nonzero degrees. The p list and the rank table below grow through
-one memo, ``_Grown``, which rebuilds a table to twice its reach at need.
+over its nonzero degrees. The p list and the rank table below are ``_Grown``
+memos, rebuilt to twice their reach at need and emptied by ``_memo.clear_all``.
 
 Rank-class sizes are read from a table of N(r, m) built from the
 Durfee-square series, in polynomial time and without enumeration, theta
@@ -25,6 +25,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from operator import add, ge
 
+from . import _memo
 from .qseries import (
     IntSeries,
     _require_int,
@@ -134,14 +135,17 @@ class _Grown:
 
     A read past the table's reach rebuilds it, under one lock, to
     max(M, twice the reach), so a sweep over rising M builds it O(log M)
-    times. The table is only ever replaced by a complete, larger one, so a
-    reader takes one reference and needs no lock.
+    times. The table is only ever replaced by a complete one, larger or
+    empty, so a reader takes one reference and needs no lock.
     """
 
     def __init__(self, build):
         self.build = build
-        self.table: list = []
         self.lock = threading.Lock()
+        _memo.register(self).clear()
+
+    def clear(self) -> None:
+        self.table = []
 
     def upto(self, M: int) -> list:
         """The table, reaching at least row M."""
@@ -165,8 +169,8 @@ _p_table = _Grown(_pentagonal_counts)
 
 
 def p_euler(n: int) -> int:
-    """p(n), read from the memoized inverse of the pentagonal sum; 0 for
-    negative n."""
+    """p(n), read from the memoized inverse of the pentagonal sum, a list to
+    at most twice the largest n read; 0 for negative n."""
     _require_int("n", n)
     return _p_table.upto(n)[n] if n >= 0 else 0
 
@@ -214,8 +218,8 @@ def _durfee_ranks(M: int) -> list[list[int]]:
     return out
 
 
-# _rank_memo.upto(M)[m][r + m] = N(r, m), the number of partitions of m
-# with rank r, for at least every m <= M
+# _rank_memo.upto(M)[m][r + m] = N(r, m) for every m <= M at least: (M + 1)^2
+# ints, M at most twice the largest weight read
 _rank_memo = _Grown(_durfee_ranks)
 
 
@@ -272,10 +276,11 @@ def m_k(k: int, n: int) -> int:
     return counts[k] if k < len(counts) else 0
 
 
+@_memo.register
 @lru_cache(maxsize=None)
 def _m_k_counts(n: int) -> tuple[int, ...]:
-    """``m_k(k, n)`` at index k for every k, from one walk over the
-    partitions of n: a partition's least absent part fixes its k."""
+    """``m_k(k, n)`` at index k for every k, from one walk over the partitions
+    of n (a partition's least absent part fixes its k); kept for every n read."""
     counts = [0]
     for parts in _partition_tuples(n):
         # the smallest parts sit at the end: walk up to the first gap

@@ -13,10 +13,11 @@ Two scans over coefficient lists write every series verdict's witnesses:
 degree, or the degree under the claim's tag.
 
 The sign suites sweep k = 1..kmax over one memoized reciprocal, so each
-k-truncated quotient is a running sum (``_RunningSum``): one list per
-numerator kind, extended by the new terms of each deeper k, one slice
-update per term, instead of one product per k. A sweep makes 2 kmax
-updates instead of kmax (kmax + 1). Every reader returns a signed copy.
+k-truncated quotient is a running sum (``_RunningSum``, keyed by value): one
+list per numerator kind, extended by the new terms of each deeper k, one slice
+update per term, instead of one product per k. A sweep makes 2 kmax updates
+instead of kmax (kmax + 1). Every reader returns a signed copy. Every memo
+here registers in ``_memo``, which clears them all in one call.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from functools import lru_cache
 from itertools import combinations, compress, count
 from operator import gt, lt, ne
 
+from . import _memo
 from .partitions import _p_table, divisor_diff, jacobi_cube, m_k, set_a_size
 from .qseries import (
     IntSeries,
@@ -65,6 +67,7 @@ class TruncParams(_Record):
         self._set(R, S, k, N)
 
 
+@_memo.register
 @lru_cache(maxsize=1)
 def _triple(R: int, S: int, N: int) -> IntSeries:
     """The triple product at (R, S, N): the left side of decomposition, the
@@ -73,6 +76,7 @@ def _triple(R: int, S: int, N: int) -> IntSeries:
     return triple_product(R, S, N)
 
 
+@_memo.register
 @lru_cache(maxsize=1)
 def _inv_triple(R: int, S: int, N: int) -> IntSeries:
     """The reciprocal triple product at (R, S, N): by Jacobi's triple
@@ -83,50 +87,42 @@ def _inv_triple(R: int, S: int, N: int) -> IntSeries:
     return bilateral_theta(R, S, N).invert()
 
 
-@lru_cache(maxsize=1)
-def _inv_euler_cubed(N: int) -> IntSeries:
-    """1/(q; q)_inf cubed: by Jacobi's identity the cube is the sparse sum
-    ``jacobi_cube``, so this is that sum inverted. One entry is enough: a
-    gz grid holds N fixed and sweeps only k."""
-    return jacobi_cube(N).invert()
-
-
 class _RunningSum:
     """A one-entry memo of one k-truncated quotient: a start list plus the
     numerator cut at depth k times a reciprocal, to order N.
 
-    The numerator is a sum of signed tails, each a theta-type sum (see
-    ``qseries._theta_terms``); depth k takes the first k terms of every
-    tail. A request at the same tails, order and reciprocal object
-    (``is``), at a depth k' >= the stored k, adds only the new terms, one
-    slice update each; any other request rebuilds from the start list.
-    Since a tail's exponents increase, the first step whose terms are all
-    past N ends the sum: every deeper cut, and the full sum (depth None),
-    is the stored list. The lock makes each read one step for threads.
+    The numerator is a sum of signed tails, each a theta-type sum
+    (``qseries._theta_terms``); depth k takes the first k terms of each. The
+    key is the value (tails, N), which fixes the reciprocal and start of a
+    running sum's one call site: only a new key calls the reciprocal. At the
+    key a deeper cut adds only the new terms, one slice update each, and a
+    shallower one restarts from start. A tail's exponents increase, so the
+    first step wholly past N ends the sum: every deeper cut, and the full
+    sum (depth None), is the stored list. The lock makes each read one step.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self.clear()
+        self._lock = threading.RLock()
+        _memo.register(self).clear()
 
     def clear(self) -> None:
-        self._key = self._reciprocal = None
+        with self._lock:  # reentrant: a read cut short clears under it
+            self._key = self._reciprocal = self._acc = None
 
-    def read(self, tails: tuple, N: int, reciprocal: list[int], depth: int | None,
-             sign: int = 1, start: Callable[[], list[int]] | None = None) -> list[int]:
+    def read(self, tails: tuple, N: int, reciprocal: Callable[[], list], depth: int | None,
+             sign: int = 1, start: Callable[[], list] | None = None) -> list[int]:
         """sign times (start + numerator cut at depth times reciprocal), to
         order N, as a fresh list. tails is a tuple of (sign, (R, b, c, u, v)),
-        each the arguments of one ``_theta_terms``; start, called only on a
-        rebuild, gives a fresh list of N + 1 ints, zeros if None."""
+        each the arguments of one ``_theta_terms``; reciprocal gives at least
+        N + 1 ints, and start a fresh list of N + 1 ints, zeros if None."""
         with self._lock:
-            if ((tails, N) != self._key or reciprocal is not self._reciprocal
-                    or depth is not None and depth < self._depth):
-                self._acc = [0] * (N + 1) if start is None else start()
-                self._tails = [(c, _theta_terms(*args)) for c, args in tails]
-                self._key, self._reciprocal = (tails, N), reciprocal
-                self._depth, self._ended = 0, False
-            acc = self._acc
             try:
+                if (tails, N) != self._key:  # depth None: no list at this key yet
+                    self._key, self._reciprocal, self._depth = (tails, N), reciprocal(), None
+                if self._depth is None or depth is not None and depth < self._depth:
+                    self._acc = [0] * (N + 1) if start is None else start()
+                    self._tails = [(c, _theta_terms(*args)) for c, args in tails]
+                    self._depth, self._ended = 0, False
                 while not self._ended and (depth is None or self._depth < depth):
                     self._ended = True
                     for c, terms in self._tails:
@@ -134,12 +130,12 @@ class _RunningSum:
                         if e <= N:
                             self._ended = False
                             if w:
-                                _add_shifted(acc, reciprocal, e, c * w)
+                                _add_shifted(self._acc, self._reciprocal, e, c * w)
                     self._depth += not self._ended
             except BaseException:
                 self.clear()  # a step cut short leaves the list half updated
                 raise
-            return list(acc) if sign == 1 else [-x for x in acc]
+            return list(self._acc) if sign == 1 else [-x for x in self._acc]
 
 
 # One running sum per numerator kind. The tails of the bilateral theta sum
@@ -167,8 +163,8 @@ def _index_tails(R: int, S: int) -> tuple:
 def _theta_quotient(R: int, S: int, N: int, k: int, sign: int = 1) -> IntSeries:
     """sign times the bilateral theta sum over -k <= j < k, divided by the
     triple product: the running theta cut."""
-    return IntSeries._from_list(
-        _THETA_CUT.read(_theta_tails(R, S), N, _inv_triple(R, S, N)._dense, k, sign), N)
+    return IntSeries._from_list(_THETA_CUT.read(
+        _theta_tails(R, S), N, lambda: _inv_triple(R, S, N)._dense, k, sign), N)
 
 
 def _mismatches(report: CheckReport, actual: list[int], expected: list[int],
@@ -339,8 +335,8 @@ def _signed_d(P: TruncParams, sign: int) -> IntSeries:
     """sign times d_series: the running index-weighted cut, which starts
     at -lambert_diff(R, S, N)."""
     R, S, k, N = P.R, P.S, P.k, P.N
-    dense = _INDEX_CUT.read(_index_tails(R, S), N, _inv_triple(R, S, N)._dense, k, sign,
-                            lambda: lambert_diff(R, S, N).scale(-1)._dense)
+    dense = _INDEX_CUT.read(_index_tails(R, S), N, lambda: _inv_triple(R, S, N)._dense, k,
+                            sign, lambda: lambert_diff(R, S, N).scale(-1)._dense)
     return IntSeries._from_list(dense, N)
 
 
@@ -378,7 +374,7 @@ def index_weighted_sums(nmax: int, k: int | None = None) -> list[int]:
     _require_nonnegative("nmax", nmax)
     if k is not None:
         _require_nonnegative("truncation depth", k)
-    return _P_INDEX_CUT.read(_index_tails(3, 1), nmax, _p_table.upto(nmax), k)
+    return _P_INDEX_CUT.read(_index_tails(3, 1), nmax, lambda: _p_table.upto(nmax), k)
 
 
 def corollary14_report(k: int, nmax: int) -> CheckReport:
@@ -535,9 +531,9 @@ def gz_series(k: int, N: int) -> IntSeries:
     product, a copy of the running gz cut; the sign (-1)^k, applied as the
     copy is made, makes nonnegativity from q^1 the literal claim."""
     _require_positive("k", k)
-    # the Jacobi cube's terms (-1)^j (2j + 1) q^(j(j+1)/2), j = 0..k
-    dense = _GZ_CUT.read(((1, (1, 0, 0, 2, 1)),), N, _inv_euler_cubed(N)._dense, k + 1,
-                         _sign(k))
+    # the Jacobi cube's terms (-1)^j (2j + 1) q^(j(j+1)/2), j = 0..k, over its inverse
+    dense = _GZ_CUT.read(((1, (1, 0, 0, 2, 1)),), N, lambda: jacobi_cube(N).invert()._dense,
+                         k + 1, _sign(k))
     return IntSeries._from_list(dense, N)
 
 
@@ -601,7 +597,7 @@ def wang_yee_rhs(R: int, S: int, m: int, N: int) -> IntSeries:
     d = R - S
     f = (0, S, 2 * S, m * R + S)
     # (k, c, e): c q^e U_(n-k), for the terms that do not depend on n
-    fixed = [(k, 1 if k % 2 else -1, sum(c))
+    fixed = [(k, _sign(k + 1), sum(c))
              for k in range(1, 5) for c in combinations(f, k)]
     total = [0] * (W + 1)
     recent = [[1] + [0] * W]  # U_(n-4) .. U_(n-1), the newest last

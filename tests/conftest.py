@@ -2,18 +2,14 @@
 
 import pytest
 
-from qtrunc import trunclab
+from qtrunc import _memo
 
 
-@pytest.fixture
-def fresh_running_memos():
-    """Clear trunclab's running k-sums before and after a test that rigs a
-    side they read. A running list is extended, not rebuilt, by the next
-    request at the same (R, S, N) and reciprocal: a list built from a rigged
-    lambert_diff would otherwise reach a later test's d_series."""
-    memos = [m for m in vars(trunclab).values() if isinstance(m, trunclab._RunningSum)]
-    for memo in memos:
-        memo.clear()
-    yield
-    for memo in memos:
-        memo.clear()
+@pytest.fixture(autouse=True)
+def clear_memos():
+    """Start every test with every memo of the package empty. A running sum
+    is extended, not rebuilt, by the next request at its key, and reads its
+    reciprocal only on a new key, so a list built from a rigged side would
+    otherwise reach a later test; a warm memo would also hide the builds
+    that a timing-free gate counts."""
+    _memo.clear_all()

@@ -7,11 +7,10 @@ import threading
 
 
 def counting_builds(monkeypatch, memo) -> list:
-    """Empty the memo for the test and return the list to which each of its
-    builds appends the reach it was asked for."""
+    """Return the list to which each build of the memo, which the test
+    starts empty, appends the reach it was asked for."""
     builds = []
     build = memo.build
-    monkeypatch.setattr(memo, "table", [])
     monkeypatch.setattr(memo, "build", lambda M: builds.append(M) or build(M))
     return builds
 

@@ -104,7 +104,6 @@ RIGGED_SIDES = [
 ]
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
 @pytest.mark.parametrize("argv, side, rig, violations", RIGGED_SIDES)
 def test_rigged_side_is_reported_through_the_cli(argv, side, rig, violations,
                                                   capsys, monkeypatch):

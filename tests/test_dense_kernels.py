@@ -274,8 +274,6 @@ def test_mao_series_objects_do_not_grow_with_order(monkeypatch):
 
 
 def test_decomposition_expands_its_triple_product_once(monkeypatch):
-    trunclab._triple.cache_clear()
-    trunclab._inv_triple.cache_clear()
     calls = record(monkeypatch, trunclab, "triple_product")
     for k in range(1, 7):
         assert decomposition_check(TruncParams(5, 2, k, 600)).passed, k

@@ -112,7 +112,6 @@ def test_theorem12_enumerates_no_partitions(monkeypatch):
 
 
 def test_mk_identity_walks_each_weight_once(monkeypatch):
-    partitions._m_k_counts.cache_clear()
     walked = record(monkeypatch, partitions, "_partition_tuples", lambda n: n)
     for k in range(1, 5):
         report = mk_identity_check(k, 27)

@@ -8,9 +8,11 @@ times the reciprocal, is the oracle. Its numerators are summed term by
 term from their exponents and its reciprocals inverted from the product
 expansions, so it takes no route of the running sums. The hypothesis test
 walks k up, down and in place, with changes of (R, S), N, reciprocal and
-kind in between.
-The timing-free gate counts the slice updates of a CLI sweep, and the
-concurrency tests compare threads and the process pool with a serial run.
+kind in between. Each running sum keys its reciprocal by value, (tails, N),
+and reads it only on a new key.
+The timing-free gates count the slice updates of a CLI sweep and of an
+extension across a p-table rebuild, and the concurrency tests compare
+threads and the process pool with a serial run.
 """
 
 import sys
@@ -20,7 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtrunc import cli, qseries, trunclab
+from qtrunc import _memo, cli, qseries, trunclab
+from qtrunc.partitions import p_euler
 from qtrunc.qseries import IntSeries, lambert_diff, pochhammer, triple_product
 from qtrunc.trunclab import (
     TruncParams,
@@ -98,7 +101,6 @@ requests = st.lists(st.tuples(st.sampled_from(KINDS), windows, st.sampled_from((
                     min_size=1, max_size=12)
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
 @settings(max_examples=60, deadline=None)
 @given(requests)
 # R = 2S, where the two tails share their exponents: k rises, repeats and
@@ -109,29 +111,42 @@ requests = st.lists(st.tuples(st.sampled_from(KINDS), windows, st.sampled_from((
           ("d", (6, 3), 17, 7, False), ("d", (6, 3), 17, 1, True)])
 def test_running_sums_equal_the_per_k_products(requests):
     """Each request (kind, (R, S), N, k, renew) reads one running list;
-    with renew, the memo of the reciprocal is cleared first, so the same
-    (R, S, N) comes with a new reciprocal object. k = 0 and None are the
-    index sums' empty and uncut sums, and k = 1 for the other kinds."""
+    with renew, every memo is cleared first, so the same (R, S, N) builds
+    its list and its reciprocal anew. k = 0 and None are the index sums'
+    empty and uncut sums, and k = 1 for the other kinds."""
     for kind, (R, S), N, k, renew in requests:
         if renew:
-            trunclab._inv_triple.cache_clear()
-            trunclab._inv_euler_cubed.cache_clear()
+            _memo.clear_all()
         if kind != "index":
             k = k or 1
         assert read(kind, R, S, N, k) == per_k(kind, R, S, N, k), (kind, R, S, N, k)
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
-def test_a_new_reciprocal_object_rebuilds(monkeypatch):
-    """The memo holds its reciprocal by identity: at the same (R, S, N) and
-    a deeper k, another reciprocal object, here a rigged one, is a rebuild,
-    not an extension of the list built with the first."""
+def test_a_cleared_memo_reads_the_new_reciprocal(monkeypatch):
+    """The memo keys its reciprocal by value: at the stored (R, S, N), a
+    rigged _inv_triple is not read, at a deeper or a shallower k; after
+    clear_all it is the reciprocal that the next read uses."""
     conjecture_series(TruncParams(5, 2, 2, 60))
     monkeypatch.setattr(trunclab, "_inv_triple", lambda R, S, N: IntSeries.one(N))
+    for k in (3, 1):
+        assert conjecture_series(TruncParams(5, 2, k, 60)).dense() == \
+            per_k("conjecture", 5, 2, 60, k), k
+    _memo.clear_all()
     assert conjecture_series(TruncParams(5, 2, 3, 60)) == theta_numerator(5, 2, 60, cut(60, 3))
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
+def test_index_sums_extend_across_a_rebuilt_p_table(monkeypatch):
+    """The p table is the index sums' reciprocal, keyed by value: when a
+    p(n) read past its reach rebuilds it as a new list, the next deeper cut
+    at the same nmax still extends the running list, by the terms j = -3
+    and j = 2 only, instead of rebuilding it from all five."""
+    index_weighted_sums(300, 2)
+    p_euler(1000)
+    updates = record(monkeypatch, trunclab, "_add_shifted")
+    assert index_weighted_sums(300, 3) == per_k("index", 3, 1, 300, 3)
+    assert len(updates) == 2
+
+
 def test_uncut_index_sums_equal_every_deeper_cut():
     """index_weighted_sums(nmax) is the full sum: it equals the per-k
     route uncut, and every cut past the last gpn(j) <= nmax, whether it is
@@ -143,7 +158,6 @@ def test_uncut_index_sums_equal_every_deeper_cut():
     assert per_k("index", 3, 1, 300, 14) == full
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
 def test_wang_yee_reads_the_running_theta_cut():
     """wang-yee's left side is a copy of the theta cut's running list: a
     change to the stored list shows in the next check at the same (R, S, N)
@@ -152,7 +166,7 @@ def test_wang_yee_reads_the_running_theta_cut():
         assert wang_yee_check(3, 1, m, 120).passed, m
     trunclab._THETA_CUT._acc[50] += 1
     assert not wang_yee_check(3, 1, 3, 120).passed
-    trunclab._THETA_CUT.clear()
+    _memo.clear_all()
     assert wang_yee_check(3, 1, 3, 120).passed
 
 
@@ -169,20 +183,17 @@ SWEEPS = [
 ]
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
 @pytest.mark.parametrize("argv, passes", SWEEPS)
 def test_a_sweep_makes_two_slice_updates_per_k(argv, passes, monkeypatch, capsys):
     """Timing-free gate: with the reciprocal warm, a sweep k = 1..kmax adds
     each new term's multiple of the reciprocal once, one slice update, and
     forms no series product: 2 kmax updates in all, where the per-k route
-    made kmax (kmax + 1)."""
+    made kmax (kmax + 1). The second sweep's k = 1 is below the stored
+    depth, so it restarts the running list with the stored reciprocal."""
     monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
     argv = ["verify", *argv.split()]
-    assert cli.main(argv) == 0  # warms the reciprocal's memo
+    assert cli.main(argv) == 0  # warms the running sum's reciprocal
     capsys.readouterr()
-    for memo in (trunclab._THETA_CUT, trunclab._INDEX_CUT, trunclab._GZ_CUT,
-                 trunclab._P_INDEX_CUT):
-        memo.clear()
     updates = record(monkeypatch, trunclab, "_add_shifted")
     products = record(monkeypatch, qseries, "_add_shifted")
     assert cli.main(argv) == 0
@@ -191,7 +202,6 @@ def test_a_sweep_makes_two_slice_updates_per_k(argv, passes, monkeypatch, capsys
     assert products == []
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
 def test_threads_sweeping_different_windows_get_the_serial_series():
     """Two threads sweep conjecture and theorem13 up and down at (5, 2) and
     (7, 3), switching as often as the interpreter can, so each request
@@ -223,7 +233,43 @@ def test_threads_sweeping_different_windows_get_the_serial_series():
         assert got == serial[window] * 8, window
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
+def test_clear_all_from_another_thread_leaves_every_read_whole():
+    """A thread calls clear_all over and over while another sweeps conjecture
+    and theorem13 up and down, switching as often as the interpreter can: a
+    clear waits for the read that holds a running sum's lock, so every
+    series equals the serial one."""
+    points = [TruncParams(5, 2, k, 200) for k in (1, 3, 2, 5, 4, 1, 6)]
+    readers = (conjecture_series, theorem13_series)
+    serial = [[f(P).dense() for f in readers] for P in points]
+    done = threading.Event()
+    results = []
+
+    def sweep():
+        try:
+            results.extend([[f(P).dense() for f in readers] for P in points]
+                           for _ in range(6))
+        finally:
+            done.set()
+
+    def clear():
+        while not done.is_set():
+            _memo.clear_all()
+
+    threads = [threading.Thread(target=sweep), threading.Thread(target=clear)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 6
+
+
 @pytest.mark.parametrize("argv", [
     ["conjecture", "--R", "5", "--S", "2", "--kmax", "6", "--N", "400"],
     ["theorem13", "--R", "4", "--S", "2", "--kmax", "6", "--N", "400"],
@@ -233,8 +279,8 @@ def test_threads_sweeping_different_windows_get_the_serial_series():
 def test_pooled_sweeps_equal_the_serial_payload(argv, tmp_path, capsys, monkeypatch):
     """The pool's payload equals the serial one, byte for byte. Forked
     workers inherit the memos the serial run left at k = 6, so their first
-    request, for a lower k, rebuilds; later ones skip the k that the other
-    worker took."""
+    request, for a lower k, restarts the list with the inherited reciprocal;
+    later ones skip the k that the other worker took."""
     serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
     monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
     assert cli.main(["verify", *argv, "--format", "json", "--out", str(serial)]) == 0

@@ -22,7 +22,7 @@ from qtrunc import (
     pochhammer,
     triple_product,
 )
-from qtrunc.partitions import enumerate_partitions
+from qtrunc.partitions import enumerate_partitions, jacobi_cube
 from reference import factor_steps, naive_mul, record
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=10)
@@ -393,7 +393,7 @@ def test_reciprocals_match_factor_divisions():
                     S, R, factor_divisions(R - S, R, factor_divisions(R, R, one)))
                 assert trunclab._inv_triple(R, S, order).dense() == expected, (R, S, order)
         expected = factor_divisions(1, 1, factor_divisions(1, 1, factor_divisions(1, 1, one)))
-        assert trunclab._inv_euler_cubed(order).dense() == expected, order
+        assert jacobi_cube(order).invert().dense() == expected, order
 
 
 def test_inverse_triple_product_times_triple_product_is_one_at_large_order():

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dict_series import DictSeries
-from qtrunc import CheckReport, cli, partitions, trunclab
+from qtrunc import CheckReport, cli
 from qtrunc.qseries import IntSeries
 from qtrunc.trunclab import _bounded, _mismatches
 
@@ -165,13 +165,6 @@ def test_scans_match_the_coefficient_maps(ca, oa, cb, ob, n0, upper):
         for d in dict_degrees(b, a, n0, differ)]
 
 
-def clear_memos():
-    for module in (trunclab, partitions):
-        for f in list(vars(module).values()):
-            if hasattr(f, "cache_clear"):
-                f.cache_clear()
-
-
 def test_the_package_reads_no_series_through_the_coeffs_view(monkeypatch):
     """Timing-free gate: every suite's verify and table run, at their
     defaults, with the coeffs view raising and every built list's length
@@ -190,16 +183,12 @@ def test_the_package_reads_no_series_through_the_coeffs_view(monkeypatch):
 
     monkeypatch.setattr(IntSeries, "coeffs", property(forbidden))
     monkeypatch.setattr(IntSeries, "_from_list", classmethod(checked_from_list))
-    clear_memos()
-    try:
-        for name, suite in cli.SUITES.items():
-            for command in ["verify"] + (["table"] if suite.table else []):
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main([command, name])
-                assert code == 0, (command, name)
-    finally:
-        clear_memos()
+    for name, suite in cli.SUITES.items():
+        for command in ["verify"] + (["table"] if suite.table else []):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, name])
+            assert code == 0, (command, name)
     assert wrong_length == []
 
 

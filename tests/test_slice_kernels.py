@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtrunc import cli, partitions, qseries, trunclab
+from qtrunc import _memo, cli, partitions, qseries, trunclab
 from qtrunc.partitions import gpn, jacobi_cube, p_euler
 from qtrunc.qseries import (
     IntSeries,
@@ -246,7 +246,7 @@ def test_index_sums_read_each_partition_count_once(monkeypatch):
     runs = [(2000, k, lambda k=k: corollary14_report(k, 2000)) for k in range(1, 7)]
     runs.append((1200, None, lambda: recurrence_check(1200)))
     for nmax, k, run in runs:
-        trunclab._P_INDEX_CUT.clear()
+        _memo.clear_all()
         reads.clear()
         passes.clear()
         assert run().passed, nmax
@@ -292,10 +292,11 @@ def test_triple_product_forms_no_series_product(monkeypatch):
 def test_reciprocals_invert_once_and_form_no_product(monkeypatch, capsys):
     """Timing-free gate: each reciprocal, by which every theta quotient and
     gz multiply their numerators, is one call of IntSeries.invert on a
-    sparse theta-type sum (the bilateral theta sum, the Jacobi cube) at the
-    benchmark's orders. It expands no triple product and calls no product
-    kernel; a conjecture sweep fills the memo of the reciprocal, inverts
-    once, and leaves the triple product's memo empty."""
+    sparse theta-type sum (the bilateral theta sum, the Jacobi cube, which
+    gz's running sum inverts itself) at the benchmark's orders. It expands
+    no triple product and calls no product kernel; a conjecture sweep fills
+    the memo of the reciprocal, inverts once, and leaves the triple
+    product's memo empty."""
     forbidden = {name: record(monkeypatch, qseries, name)
                  for name in ("_kronecker_mul", "_schoolbook_mul", "_mul_lists",
                               "triple_product")}
@@ -305,16 +306,15 @@ def test_reciprocals_invert_once_and_form_no_product(monkeypatch, capsys):
                       lambda series: series.dense())
     cases = [(trunclab._inv_triple, (R, S, 3000), qseries.bilateral_theta(R, S, 3000))
              for R, S in [(5, 1), (7, 2), (4, 2)]]
-    cases.append((trunclab._inv_euler_cubed, (2500,), partitions.jacobi_cube(2500)))
-    for reciprocal, args, denominator in cases:
-        reciprocal.cache_clear()
+    cases.append((trunclab.gz_series, (1, 2500), partitions.jacobi_cube(2500)))
+    for build, args, denominator in cases:
+        _memo.clear_all()
         inverted.clear()
-        reciprocal(*args)
+        build(*args)
         assert all(calls == [] for calls in forbidden.values()), args
         assert inverted == [denominator.dense()], args
     monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
-    trunclab._triple.cache_clear()
-    trunclab._inv_triple.cache_clear()
+    _memo.clear_all()
     inverted.clear()
     assert cli.main(["verify", "conjecture", "--R", "5", "--S", "2", "--kmax", "3",
                      "--N", "300"]) == 0
@@ -329,17 +329,29 @@ def test_reciprocals_invert_once_and_form_no_product(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("suite, memo", [("conjecture", "_inv_triple"),
-                                         ("decomposition", "_triple"),
-                                         ("gz", "_inv_euler_cubed")])
+                                         ("decomposition", "_triple")])
 def test_memos_keep_one_entry_across_sweeps(suite, memo, monkeypatch, capsys):
     """A CLI sweep holds (R, S, N) fixed, so each memo misses once per
     sweep; three sweeps at three orders in one process leave one entry."""
     monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
     cache = getattr(trunclab, memo)
-    cache.cache_clear()
-    window = [] if suite == "gz" else ["--R", "5", "--S", "2"]
     for sweeps, N in enumerate((100, 200, 300), 1):
-        assert cli.main(["verify", suite, *window, "--kmax", "3", "--N", str(N)]) == 0
+        assert cli.main(["verify", suite, "--R", "5", "--S", "2", "--kmax", "3",
+                         "--N", str(N)]) == 0
         capsys.readouterr()
         info = cache.cache_info()
         assert (info.currsize, info.misses) == (1, sweeps), N
+
+
+def test_a_gz_sweep_inverts_the_jacobi_cube_once(monkeypatch, capsys):
+    """gz's running sum holds its own reciprocal, keyed by N: a sweep over
+    k at one N inverts the Jacobi cube once, and three sweeps at three
+    orders in one process invert it once each."""
+    monkeypatch.delenv("QTRUNC_WORKERS", raising=False)
+    inverted = record(monkeypatch, qseries.IntSeries, "invert",
+                      lambda series: series.dense())
+    orders = (100, 200, 300)
+    for N in orders:
+        assert cli.main(["verify", "gz", "--kmax", "3", "--N", str(N)]) == 0
+        capsys.readouterr()
+    assert inverted == [jacobi_cube(N).dense() for N in orders]

@@ -123,7 +123,6 @@ def test_bilateral_theta_matches_former_loop():
             assert bilateral_theta(R, S, N) == oracle_bilateral_theta(R, S, N), (R, S, N)
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
 def test_d_series_numerator_matches_former_loop(monkeypatch):
     # with a unit denominator and no divisor series, d_series is its numerator
     monkeypatch.setattr(trunclab, "_inv_triple", lambda R, S, N: IntSeries.one(N))
@@ -164,11 +163,11 @@ def test_i_series_matches_former_loop():
                         (idx, R, S, k, N)
 
 
-@pytest.mark.usefixtures("fresh_running_memos")
 def test_jacobi_cube_and_gz_numerator_match_former_loops(monkeypatch):
     for N in range(201):
         assert jacobi_cube(N) == oracle_jacobi_cube(N), N
-    monkeypatch.setattr(trunclab, "_inv_euler_cubed", lambda N: IntSeries.one(N))
+    # a unit cube makes gz's reciprocal 1, so gz_series is its numerator
+    monkeypatch.setattr(trunclab, "jacobi_cube", lambda N: IntSeries.one(N))
     for N in ORDERS:
         for k in range(1, 7):
             want = oracle_gz_numerator(k, N).scale(_sign(k))
