@@ -55,9 +55,9 @@ a coefficient list by (q^a; q^s)_infinity by Euler's distinct-parts sum,
 base (q^a; q^s)_infinity = sum_k (-1)^k q^(a k + s k(k-1)/2) base / (q^s; q^s)_k,
 in about sqrt(2N/s) geometric steps of the walker: O(N^1.5)
 instead of O(N^2). pochhammer is one such sum over the list of 1;
-triple_product chains three, each over the list the one before returned,
-and mao's product-sum series in trunclab chain two, (q^R; q^R)_infinity
-and then (q^A; q^R)_infinity, over their summed list.
+triple_product chains three, each over the list the one before returned;
+mao's product-sum series in trunclab, a Heine sum, takes one,
+(q^A; q^R)_infinity, over its summed list.
 The sum does not go through Jacobi's triple product.
 
 IntSeries.invert is the one reciprocal kernel. p(n) in partitions, every

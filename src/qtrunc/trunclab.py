@@ -407,22 +407,32 @@ def recurrence_check(nmax: int) -> CheckReport:
 
 def _product_sum_f(R: int, A: int, N: int) -> IntSeries:
     """(q^A, q^R; q^R)_inf times the sum over n >= 0 of
-    q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n), each term a running quotient
-    of the walker ``qseries._quotients``, two geometric steps per n >= 1.
-    The sum is multiplied by (q^R; q^R)_inf and then by (q^A; q^R)_inf by
-    two Euler sums (``qseries._euler_sum``), as ``triple_product`` chains
-    its factors, so no series product is formed."""
+    q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n), summed by Heine's transformation
+    (Gasper and Rahman, Basic Hypergeometric Series, (1.4.6), in the limit
+    a, b -> 0) as (q^A; q^R)_inf times the sum over n >= 0 of
+    q^(Rn^2 + An) / ((q^R; q^R)_n (q^A; q^R)_n): the factor (q^R; q^R)_inf
+    cancels. Each term is a running quotient of the walker
+    ``qseries._quotients``, two geometric steps per n >= 1 while
+    Rn^2 + An <= N, so about sqrt(N / R) terms instead of N / R. The sum
+    is multiplied by (q^A; q^R)_inf by one Euler sum
+    (``qseries._euler_sum``), so no series product is formed."""
     _require_positive("base exponent", A)
     acc = [1] + [0] * N  # the term n = 0
-    terms = ((R * n, (R * n, A + R * (n - 1))) for n in count(1))
+    terms = ((R * n * n + A * n, (R * n, A + R * (n - 1))) for n in count(1))
     for e, term in _quotients([1] + [0] * N, terms):
         _add_shifted(acc, term, e)
-    return IntSeries._from_list(_euler_sum(A, R, _euler_sum(R, R, acc)), N)
+    return IntSeries._from_list(_euler_sum(A, R, acc), N)
 
 
 def mao_check(P: TruncParams) -> CheckReport:
     """1 minus each product-sum series (base exponents R*k -+ S) must equal
-    the corresponding alternating theta-type sum, exactly to order N."""
+    the corresponding alternating theta-type sum, exactly to order N.
+
+    This checks Mao's identity (Mao, J. Combin. Theory Ser. A 130 (2015))
+    through Heine's transformation: the left side is ``_product_sum_f``'s
+    Heine sum, walked by ``_quotients`` and multiplied by one Euler sum,
+    and the right side is ``_theta_sum``, which the left side never reaches.
+    """
     R, S, k, N = P.R, P.S, P.k, P.N
     report = CheckReport("mao", {"R": R, "S": S, "k": k, "N": N})
     for label, A in (("base R*k-S", R * k - S), ("base R*k+S", R * k + S)):
@@ -464,7 +474,8 @@ def _mao_double_sum(R: int, A: int, N: int) -> IntSeries:
     running sum of q^(Rn) b_n, b_n = 1 / ((q^A; q^R)_n (q^R; q^R)_n), and
     the walker ``qseries._quotients`` gives b_M at the shift RM. Each term
     takes its geometric step on a copy: three steps per M >= 1, O(N^2 / R).
-    The two product factors are taken by Euler sums, as in ``_product_sum_f``.
+    The two product factors are taken by Euler sums, (q^R; q^R)_inf and
+    then (q^A; q^R)_inf; ``_product_sum_f`` needs only the second.
     """
     acc = [0] * (N + 1)
     partial = [0] * (N + 1)  # C_M, cut to the coefficients that survive RM

@@ -4,19 +4,24 @@ wang_yee_rhs, _product_sum_f, _mao_double_sum and am_rhs sum into plain int
 lists and form no series product. wang_yee_rhs runs an order-four
 recurrence over n for its inner quadruple sum, _mao_double_sum sums by
 parts over n + m, and the two product-sum series take their product
-factors by Euler sums. The series_* functions below are their
-references: the same sums written term by term as IntSeries operations,
-with the product factors as expanded q-Pochhammer products and every
-Gaussian binomial from the Pascal recurrence of qbinomial.py. Every result
-must be equal, coefficient for coefficient and in its order. The
+factors by Euler sums. _product_sum_f sums the Heine transform of its
+series, about sqrt(N / R) terms times one Euler sum; walker_product_sum_f
+below keeps the untransformed sum, N / R walker terms times two Euler
+sums, as its oracle. The series_* functions below are the references of
+every dense form: the same sums written term by term as IntSeries
+operations, with the product factors as expanded q-Pochhammer products and
+every Gaussian binomial from the Pascal recurrence of qbinomial.py. Every
+result must be equal, coefficient for coefficient and in its order. The
 timing-free gates count the work the dense forms do at fixed points.
 """
+from itertools import count
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtrunc import qseries, trunclab
-from qtrunc.qseries import IntSeries, pochhammer
+from qtrunc.qseries import IntSeries, _add_shifted, _euler_sum, _quotients, pochhammer
 from qtrunc.trunclab import (
     TruncParams,
     _mao_double_sum,
@@ -90,6 +95,18 @@ def series_product_sum_f(R: int, A: int, N: int) -> IntSeries:
         acc = acc + term
         n += 1
     return acc * pochhammer(R, R, N) * pochhammer(A, R, N)
+
+
+def walker_product_sum_f(R: int, A: int, N: int) -> IntSeries:
+    """_product_sum_f before Heine's transformation: one walker term
+    q^(Rn) / ((q^A; q^R)_n (q^R; q^R)_n) per n <= N / R, two geometric
+    steps each, times (q^R; q^R)_inf and then (q^A; q^R)_inf by two Euler
+    sums."""
+    acc = [1] + [0] * N
+    terms = ((R * n, (R * n, A + R * (n - 1))) for n in count(1))
+    for e, term in _quotients([1] + [0] * N, terms):
+        _add_shifted(acc, term, e)
+    return IntSeries._from_list(_euler_sum(A, R, _euler_sum(R, R, acc)), N)
 
 
 def series_mao_double_sum(R: int, A: int, N: int) -> IntSeries:
@@ -167,6 +184,19 @@ def test_product_sum_f_matches_series_form():
         assert _product_sum_f(5, A, 500) == series_product_sum_f(5, A, 500), A
 
 
+@given(st.integers(1, 8).flatmap(
+    lambda R: st.tuples(st.just(R), st.integers(1, 3 * R + 1), st.integers(0, 150))))
+@settings(max_examples=80, deadline=None)
+# N = 0; N < A; N < R; A = R; A = 2R
+@example((5, 3, 0))
+@example((3, 7, 5))
+@example((8, 3, 6))
+@example((4, 4, 90))
+@example((3, 6, 150))
+def test_heine_sum_matches_walker_sum(point):
+    assert _product_sum_f(*point) == walker_product_sum_f(*point)
+
+
 def test_mao_double_sum_matches_series_form():
     for R, A in [(5, 3), (5, 7), (3, 2), (4, 9)]:
         for N in (0, 7, 150):
@@ -178,15 +208,19 @@ def test_mao_double_sum_matches_series_form():
     lambda R: st.tuples(st.just(R), st.integers(1, 3 * R + 1), st.integers(0, 150))))
 @settings(max_examples=60, deadline=None)
 def test_euler_sums_match_the_product_route(point):
-    """The two product factors of each sum, taken by Euler sums, against the
-    bare sum (Euler sums stubbed out) times the expanded (q^R; q^R)_inf
-    and (q^A; q^R)_inf by series products."""
+    """The product factors of each sum, taken by Euler sums, against the
+    bare sum (Euler sums stubbed out) times the expanded factors by series
+    products: (q^A; q^R)_inf alone for the Heine sum of _product_sum_f,
+    (q^R; q^R)_inf and (q^A; q^R)_inf for _mao_double_sum."""
     R, A, N = point
-    for build in (_product_sum_f, _mao_double_sum):
+    for build, factors in ((_product_sum_f, [(A, R)]),
+                           (_mao_double_sum, [(R, R), (A, R)])):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trunclab, "_euler_sum", lambda a, step, base: base)
-            bare = build(R, A, N)
-        assert build(R, A, N) == bare * pochhammer(R, R, N) * pochhammer(A, R, N), build
+            expected = build(R, A, N)
+        for a, step in factors:
+            expected = expected * pochhammer(a, step, N)
+        assert build(R, A, N) == expected, build
 
 
 def test_am_rhs_matches_series_form():
@@ -228,6 +262,22 @@ def test_wang_yee_rhs_forms_no_product_and_one_step_per_n(monkeypatch):
         assert all(calls == [] for calls in forbidden), m
         assert steps == ([(3 * n, 150 - 2 * n + 1) for n in range(1, 76)]
                          + [(3 * i, 151) for i in range(1, m)]), m
+
+
+def test_product_sum_f_takes_two_steps_per_heine_term(monkeypatch):
+    """Timing-free gate: the Heine sum takes two walker steps per n >= 1
+    while 5n^2 + 3n <= 600, n = 1..10, each on the 601 - 5n^2 - 3n
+    coefficients that survive the shift: 20 steps, where the sum before
+    the transformation took 240. Its Euler sum is stubbed out, so only the
+    sum's own steps are counted."""
+    monkeypatch.setattr(trunclab, "_euler_sum", lambda a, step, base: base)
+    steps = _count_steps(monkeypatch)
+    _product_sum_f(5, 3, 600)
+    expected = []
+    for n in range(1, 11):
+        kept = 601 - 5 * n * n - 3 * n
+        expected += [(5 * n, kept), (3 + 5 * (n - 1), kept)]
+    assert steps == expected
 
 
 def test_mao_double_sum_takes_three_steps_per_M(monkeypatch):
@@ -282,9 +332,8 @@ def test_decomposition_expands_its_triple_product_once(monkeypatch):
 
 def test_mao_takes_its_product_factors_by_euler_sums(monkeypatch):
     """Timing-free gate: every mao series at one (R, N), over all k as the
-    CLI runs them, multiplies its sum by (q^R; q^R)_inf and then by
-    (q^A; q^R)_inf by two Euler sums, and reaches no product kernel and no
-    expanded product."""
+    CLI runs them, multiplies its Heine sum by (q^A; q^R)_inf by one Euler
+    sum, and reaches no product kernel and no expanded product."""
     forbidden = [record(monkeypatch, qseries, name)
                  for name in ("_kronecker_mul", "_schoolbook_mul", "_mul_lists",
                               "pochhammer")]
@@ -294,5 +343,4 @@ def test_mao_takes_its_product_factors_by_euler_sums(monkeypatch):
     for k in range(1, 5):
         assert mao_check(TruncParams(5, 1, k, 500)).passed, k
     assert all(c == [] for c in forbidden)
-    assert calls == [call for k in range(1, 5) for A in (5 * k - 1, 5 * k + 1)
-                     for call in ((5, 5, 501), (A, 5, 501))]
+    assert calls == [(A, 5, 501) for k in range(1, 5) for A in (5 * k - 1, 5 * k + 1)]

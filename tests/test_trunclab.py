@@ -367,6 +367,12 @@ def test_i_series_closed_forms_agree_with_direct_sums():
             P = TruncParams(R, S, k, 45)
             for idx in (1, 2, 3, 4):
                 assert i_series(idx, P) == i_series_closed(idx, P), (R, S, k, idx)
+    # mao's bases at N = 600: the closed forms of I1 and I2 read _product_sum_f
+    for S in range(1, 5):
+        for k in range(1, 5):
+            P = TruncParams(5, S, k, 600)
+            for idx in (1, 2):
+                assert i_series(idx, P) == i_series_closed(idx, P), (S, k, idx)
 
 
 def test_decomposition_check_grid():
