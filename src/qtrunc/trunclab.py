@@ -26,10 +26,10 @@ import threading
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import combinations, compress, count
-from operator import gt, lt, ne
+from operator import add, gt, lt, ne, sub
 
 from . import _memo
-from .partitions import _p_table, divisor_diff, jacobi_cube, m_k, set_a_size
+from .partitions import _p_table, divisor_diff, gpn, jacobi_cube, m_k, set_a_size
 from .qseries import (
     IntSeries,
     _add_shifted,
@@ -207,34 +207,52 @@ def am_lhs(k: int, N: int) -> IntSeries:
 
 def am_rhs(k: int, N: int) -> IntSeries:
     """Closed series form of am_lhs: 1 plus a signed sum of Gaussian-binomial
-    terms q^(k(k-1)/2 + (k+1)n) [n-1, k-1] / (q;q)_n over n >= k.
+    terms q^(k(k-1)/2 + (k+1)n) [n-1, k-1] / (q;q)_n over n >= k, the right
+    side of the truncated pentagonal number theorem (Andrews and Merca,
+    J. Combin. Theory Ser. A 119 (2012)).
 
-    The summation is cut once the minimum exponent of a term exceeds N.
-    Since [n-1, k-1] = (q;q)_(n-1) / ((q;q)_(k-1) (q;q)_(n-k)), each term is
-    q^e / ((q;q)_(k-1) (q;q)_(n-k) (1 - q^n)). The sum is built over plain
-    lists without a product: the walker ``qseries._quotients`` keeps the
-    running 1/(q;q)_(n-k), each term takes one more geometric step for
-    1/(1 - q^n) on a copy, and the common 1/(q;q)_(k-1) is applied once.
+    The sum is taken by Heine's transformation. With n = k + m and
+    gpn(k) = k(3k+1)/2, the exponent of the term n = k, the term is
+    q^(gpn(k) + (k+1)m) / ((q;q)_(k-1) (q;q)_m (1 - q^(k+m))), so the sum is
+    q^gpn(k) / (q;q)_k times 2phi1(q^k, 0; q^(k+1); q, q^(k+1)). Heine's
+    third form (Gasper and Rahman, Basic Hypergeometric Series, (1.4.6)),
+    in the limit b -> 0, turns that into 1/(q^(k+1); q)_inf times the sum
+    over m >= 0 of (q;q)_m (-1)^m q^(m(m-1)/2 + (2k+1)m) /
+    ((q;q)_m (q^(k+1); q)_m): c/a = q, so (q;q)_m cancels, and
+    (q;q)_k (q^(k+1); q)_inf = (q;q)_inf. Hence
+
+        am_rhs = 1 + (-1)^(k-1) q^gpn(k) P sum_(m >= 0)
+                 (-1)^m q^(m(m-1)/2 + (2k+1)m) / (q^(k+1); q)_m,
+
+    with P = 1/(q;q)_inf taken in its Durfee-square form, the sum over
+    n >= 0 of q^(n^2) / (q;q)_n^2, not as the inverse of the pentagonal sum
+    that am_lhs reads. Both sums are walks of ``qseries._quotients`` to
+    order W = N - gpn(k): two geometric steps per n while n^2 <= W, then
+    one per m, so about sqrt(W) steps and O(N^1.5) list operations where
+    the untransformed sum took N / (k+1) terms. No product is formed.
     """
     _require_positive("k", k)
     _require_nonnegative("N", N)
-    base = k * (k - 1) // 2
-    acc = [0] * (N + 1)
-    terms = ((base + (k + 1) * n, (n - k,) if n > k else ()) for n in count(k))
-    for n, (e, inv_fact) in enumerate(_quotients([1] + [0] * N, terms), k):
-        term = list(inv_fact)
-        _div_one_minus_list(term, n)
-        _add_shifted(acc, term, e)
-    for i in range(1, k):
-        _div_one_minus_list(acc, i)
-    sign = _sign(k - 1)
-    acc = [sign * c for c in acc]
-    acc[0] += 1
+    shift = gpn(k)
+    W = N - shift  # below 0, both walks are empty and the sum lands past q^N
+    durfee = [1] + [0] * W  # the term n = 0
+    for e, term in _quotients([1] + [0] * W, ((n * n, (n, n)) for n in count(1))):
+        _add_shifted(durfee, term, e)
+    heine = list(durfee)  # the term m = 0
+    terms = ((m * (m - 1) // 2 + (2 * k + 1) * m, (k + m,)) for m in count(1))
+    for m, (e, term) in enumerate(_quotients(durfee, terms), 1):
+        heine[e:] = map(sub if m % 2 else add, heine[e:], term)
+    acc = [1] + [0] * N
+    _add_shifted(acc, heine, shift, _sign(k - 1))
     return IntSeries._from_list(acc, N)
 
 
 def am_check(k: int, N: int) -> CheckReport:
-    """Exact coefficient equality of am_lhs and am_rhs to order N."""
+    """Exact coefficient equality of am_lhs and am_rhs to order N.
+
+    The sides take independent routes to 1/(q;q)_inf: am_lhs multiplies by
+    the inverse of the pentagonal sum (``IntSeries.invert``), and am_rhs
+    walks the Durfee-square sum inside its Heine sum."""
     report = CheckReport("am-identity", {"k": k, "N": N})
     _mismatches(report, am_lhs(k, N).dense(), am_rhs(k, N).dense())
     return report

@@ -7,12 +7,16 @@ parts over n + m, and the two product-sum series take their product
 factors by Euler sums. _product_sum_f sums the Heine transform of its
 series, about sqrt(N / R) terms times one Euler sum; walker_product_sum_f
 below keeps the untransformed sum, N / R walker terms times two Euler
-sums, as its oracle. The series_* functions below are the references of
-every dense form: the same sums written term by term as IntSeries
-operations, with the product factors as expanded q-Pochhammer products and
-every Gaussian binomial from the Pascal recurrence of qbinomial.py. Every
-result must be equal, coefficient for coefficient and in its order. The
-timing-free gates count the work the dense forms do at fixed points.
+sums, as its oracle. am_rhs sums its Heine transform too, about
+sqrt(N) terms over the Durfee-square list of 1/(q;q)_inf; walker_am_rhs
+below keeps the untransformed sum, N / (k+1) walker terms of one
+geometric step each on a copy, as its oracle. The series_* functions below
+are the references of every dense form: the same sums written term by
+term as IntSeries operations, with the product factors as expanded
+q-Pochhammer products and every Gaussian binomial from the Pascal
+recurrence of qbinomial.py. Every result must be equal, coefficient for
+coefficient and in its order. The timing-free gates count the work the
+dense forms do at fixed points and the kernels they must not reach.
 """
 from itertools import count
 
@@ -20,8 +24,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtrunc import qseries, trunclab
-from qtrunc.qseries import IntSeries, _add_shifted, _euler_sum, _quotients, pochhammer
+from qtrunc import partitions, qseries, trunclab
+from qtrunc.partitions import gpn
+from qtrunc.qseries import (
+    IntSeries,
+    _add_shifted,
+    _div_one_minus_list,
+    _euler_sum,
+    _quotients,
+    pochhammer,
+)
 from qtrunc.trunclab import (
     TruncParams,
     _mao_double_sum,
@@ -144,6 +156,27 @@ def series_am_rhs(k: int, N: int) -> IntSeries:
     return IntSeries.one(N) + acc.scale(1 if k % 2 == 1 else -1)
 
 
+def walker_am_rhs(k: int, N: int) -> IntSeries:
+    """am_rhs before Heine's transformation: one walker term
+    q^(k(k-1)/2 + (k+1)n) / ((q;q)_(k-1) (q;q)_(n-k) (1 - q^n)) per n >= k,
+    the walker keeping the running 1/(q;q)_(n-k) and each term taking one
+    more geometric step for 1/(1 - q^n) on a copy, and the common
+    1/(q;q)_(k-1) applied once."""
+    base = k * (k - 1) // 2
+    acc = [0] * (N + 1)
+    terms = ((base + (k + 1) * n, (n - k,) if n > k else ()) for n in count(k))
+    for n, (e, inv_fact) in enumerate(_quotients([1] + [0] * N, terms), k):
+        term = list(inv_fact)
+        _div_one_minus_list(term, n)
+        _add_shifted(acc, term, e)
+    for i in range(1, k):
+        _div_one_minus_list(acc, i)
+    sign = 1 if k % 2 == 1 else -1
+    acc = [sign * c for c in acc]
+    acc[0] += 1
+    return IntSeries._from_list(acc, N)
+
+
 def test_wang_yee_rhs_matches_series_form():
     # the benchmark's two points, then small orders over both windows
     for args in [(3, 1, 1, 150), (3, 1, 2, 153)]:
@@ -224,10 +257,24 @@ def test_euler_sums_match_the_product_route(point):
 
 
 def test_am_rhs_matches_series_form():
-    # N = 0 and 1 leave no term at any k; N = 7 is the first term at k = 2
+    # N = 0 and 1 leave no term at any k; N = 7 is the first term at k = 2;
+    # k = 1..3 at N = 300 and (2, 400) are the benchmark's points
     for k in range(1, 6):
         for N in (0, 1, 7, 23, 60, 300):
             assert am_rhs(k, N) == series_am_rhs(k, N), (k, N)
+    assert am_rhs(2, 400) == series_am_rhs(2, 400)
+
+
+@given(st.tuples(st.integers(1, 8), st.integers(0, 300)))
+@settings(max_examples=80, deadline=None)
+# N = gpn(k) - 1 and N = gpn(k): no term, then the term m = 0 alone; N = 0
+@example((3, gpn(3) - 1))
+@example((3, gpn(3)))
+@example((8, gpn(8) - 1))
+@example((8, gpn(8)))
+@example((1, 0))
+def test_heine_am_rhs_matches_walker_sum(point):
+    assert am_rhs(*point) == walker_am_rhs(*point)
 
 
 def _count_steps(monkeypatch):
@@ -277,6 +324,30 @@ def test_product_sum_f_takes_two_steps_per_heine_term(monkeypatch):
     for n in range(1, 11):
         kept = 601 - 5 * n * n - 3 * n
         expected += [(5 * n, kept), (3 + 5 * (n - 1), kept)]
+    assert steps == expected
+
+
+def test_am_rhs_forms_no_product_and_walks_durfee_then_heine(monkeypatch):
+    """Timing-free gate: at (k, N) = (2, 400), W = N - gpn(2) = 393, am_rhs
+    takes two walker steps per Durfee square n = 1..19 (n^2 <= 393), each
+    on the 394 - n^2 coefficients that survive the shift n^2, then one per
+    Heine term m = 1..23 (m(m-1)/2 + 5m <= 393) on the 394 - m(m-1)/2 - 5m
+    that survive its shift: 61 steps, where the sum before the
+    transformation took 264. It reaches no product kernel, theta sum or
+    reciprocal: its 1/(q;q)_inf is the Durfee-square sum, not the inverse
+    of the pentagonal sum that am_lhs reads."""
+    targets = [(IntSeries, "invert"), (trunclab, "_inv_triple"),
+               (qseries, "_theta_sum"), (trunclab, "_theta_sum"),
+               (partitions, "_pentagonal_counts"), (qseries, "_schoolbook_mul"),
+               (qseries, "_kronecker_mul"), (IntSeries, "__mul__")]
+    forbidden = [record(monkeypatch, owner, name) for owner, name in targets]
+    steps = _count_steps(monkeypatch)
+    am_rhs(2, 400)
+    assert all(calls == [] for calls in forbidden)
+    expected = []
+    for n in range(1, 20):
+        expected += [(n, 394 - n * n)] * 2
+    expected += [(2 + m, 394 - m * (m - 1) // 2 - 5 * m) for m in range(1, 24)]
     assert steps == expected
 
 

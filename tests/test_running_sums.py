@@ -202,6 +202,16 @@ def test_a_sweep_makes_two_slice_updates_per_k(argv, passes, monkeypatch, capsys
     assert products == []
 
 
+def test_a_theorem13_sweep_builds_lambert_diff_once(monkeypatch):
+    """Timing-free gate: lambert_diff is the running index cut's start, which
+    only a restart reads, so a sweep k = 1..8 at one (R, S, N) builds it
+    once, not once per k."""
+    calls = record(monkeypatch, trunclab, "lambert_diff")
+    for k in range(1, 9):
+        trunclab.theorem13_check(TruncParams(7, 2, k, 3000))
+    assert calls == [(7, 2, 3000)]
+
+
 def test_threads_sweeping_different_windows_get_the_serial_series():
     """Two threads sweep conjecture and theorem13 up and down at (5, 2) and
     (7, 3), switching as often as the interpreter can, so each request

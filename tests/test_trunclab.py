@@ -4,8 +4,12 @@ The two product sums of mao, _product_sum_f and _mao_double_sum, are
 rebuilt here term by term on plain lists, every factor multiplied in by
 reference.naive_mul: the only check of those sums that takes no library
 kernel. Their IntSeries forms, and those of am_rhs and wang_yee_rhs, are
-the references of test_dense_kernels.py. The other tests run each suite
-on grids, pin frozen coefficients and compare suites with each other.
+the references of test_dense_kernels.py, which also keeps the sums that
+_product_sum_f and am_rhs took before Heine's transformation as walker
+oracles. am_rhs, the Heine sum over the Durfee-square list of
+1/(q;q)_inf, is checked here against am_lhs on grids and at the order
+where its first term overshoots. The other tests run each suite on grids,
+pin frozen coefficients and compare suites with each other.
 """
 
 import pytest
@@ -207,7 +211,8 @@ def test_negative_coeffs_reports_first_offender():
 
 
 def test_am_rhs_trivial_when_every_term_overshoots():
-    # k(k-1)/2 + (k+1)k > N leaves only the constant 1 on both sides
+    # gpn(k) = k(3k+1)/2 > N, the first term's exponent, leaves only the
+    # constant 1 on both sides
     assert am_rhs(6, 10).dense() == [1] + [0] * 10
     assert am_lhs(6, 10).dense() == [1] + [0] * 10
 
